@@ -12,6 +12,7 @@
 //! with its unit and direction; the last line of standard output is one
 //! JSON object `{"correct", "attempted", "failed", "metrics"}`.
 
+mod cpu;
 mod loadgen;
 mod oracle;
 mod replay;
@@ -80,8 +81,11 @@ fn main() -> ExitCode {
     for m in report.metrics.iter().chain(&report.extra) {
         println!("{:<30} {:>16.6} {:<8} ({} is better)", m.name, m.value, m.unit, m.better);
     }
-    for line in &report.checks {
-        println!("check: {line}");
+    for c in &report.checks {
+        println!("check: {} {}", if c.pass { "PASS" } else { "FAIL" }, c.line);
+    }
+    for line in &report.notes {
+        println!("note: {line}");
     }
     let metrics: Vec<String> = report
         .metrics
@@ -95,17 +99,18 @@ fn main() -> ExitCode {
             )
         })
         .collect();
+    let correct = report.correct();
     println!(
         "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
-        report.correct,
+        correct,
         report.attempted,
         report.failed,
         metrics.join(", ")
     );
-    if report.correct {
+    if correct {
         ExitCode::SUCCESS
     } else {
-        eprintln!("perfbench: served answers differ from the oracle (see the check lines)");
+        eprintln!("perfbench: a check failed (see the check: FAIL lines)");
         ExitCode::FAILURE
     }
 }

@@ -13,7 +13,9 @@
 //! Control plane: the update sequence the runtime served, replayed
 //! against a bench-owned master and `Store` in the order the runtime's
 //! `add_rule`/`remove_rule` take them: WAL append, mutate, clone
-//! (publish), and every few records a checkpoint.
+//! (publish), and every few records a checkpoint. Each stage is timed
+//! in wall-clock time (the figures reported) and in CPU time (what the
+//! attribution compares with the runtime's calls).
 
 use classifier_api::{Admission, Classifier, DynamicClassifier, FlowCache};
 use mtl_core::actions::ActionRow;
@@ -30,11 +32,15 @@ use std::hint::black_box;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use crate::cpu;
 use crate::stats::median;
 use crate::workload::{Op, SHARDS};
 
 /// Timed repetitions of every stage loop; each stage reports its median.
-const REPEATS: usize = 5;
+/// On the cache-friendly workloads a loop over the walked packets lasts
+/// only a few milliseconds, so fewer repetitions let one interruption
+/// move the stage-sum ratio by 0.2.
+const REPEATS: usize = 15;
 
 /// Packets per stage-major tile: small enough that a tile's chains stay
 /// in the CPU caches between the engine and index stages.
@@ -293,8 +299,8 @@ pub struct ControlReplay {
     pub append_us: Vec<f64>,
     /// Image encoding + `Store::checkpoint` per checkpoint, ms.
     pub checkpoint_ms: Vec<f64>,
-    /// Sum over updates of the stages the runtime under test performs, ms.
-    pub attributed_ms: f64,
+    /// Calling-thread CPU time of every stage, summed over updates, ms.
+    pub attributed_cpu_ms: f64,
     /// WAL bytes on disk after the replay.
     pub wal_bytes: u64,
     /// Snapshot bytes on disk after the replay.
@@ -307,9 +313,7 @@ fn ms(d: Duration) -> f64 {
 
 /// Replays `ops` on a clone of `initial` with a store in `dir` (which
 /// must not exist), at the runtime's default checkpoint cadence.
-/// `durable` says whether the runtime under test logs and checkpoints,
-/// i.e. which stages count towards [`ControlReplay::attributed_ms`].
-pub fn control_plane(initial: &MtlSwitch, ops: &[Op], dir: &Path, durable: bool) -> ControlReplay {
+pub fn control_plane(initial: &MtlSwitch, ops: &[Op], dir: &Path) -> ControlReplay {
     let defaults = DurabilityConfig::new(dir);
     let mut store = Store::open(dir).expect("replay store opens");
     store.set_segment_bytes(DEFAULT_SEGMENT_BYTES);
@@ -320,34 +324,27 @@ pub fn control_plane(initial: &MtlSwitch, ops: &[Op], dir: &Path, durable: bool)
         .checkpoint(version, &master.encode_image(), CheckpointMode::Durable)
         .expect("boot checkpoint");
     let mut out = ControlReplay::default();
+    let mut _published = None;
+    let mut cpu_ns = 0;
     let mut since = 0;
     for op in ops {
         let payload = match op {
             Op::Add(rule) => WalOp::Add { kind: FilterKind::Routing, rule: rule.clone() },
             Op::Remove(id) => WalOp::Remove { rule_id: *id },
         };
-        let mut attributed = Duration::ZERO;
-        let append = timed(|| {
+        let ((), append, append_cpu) = clocked(|| {
             store.append(&payload.encode()).expect("replay append");
         });
-        let (report, mutate) = match op {
-            Op::Add(rule) => {
-                let rule = rule.clone();
-                let t = Instant::now();
-                let r = master.insert_rule(rule).expect("replayed add applies");
-                (r, t.elapsed())
-            }
+        let (report, mutate, mutate_cpu) = clocked(|| match op {
+            Op::Add(rule) => master.insert_rule(rule.clone()).expect("replayed add applies"),
             Op::Remove(id) => {
-                let t = Instant::now();
-                let r = DynamicClassifier::remove_rule(&mut master, *id)
-                    .expect("replayed remove applies");
-                (r, t.elapsed())
+                DynamicClassifier::remove_rule(&mut master, *id).expect("replayed remove applies")
             }
-        };
-        let t = Instant::now();
-        let published = master.clone();
-        let clone = t.elapsed();
-        drop(published);
+        });
+        let (copy, clone, clone_cpu) = clocked(|| master.clone());
+        // Held until the next publish replaces it, as the runtime's
+        // snapshot cell holds the table it serves.
+        _published = Some(copy);
         match op {
             Op::Add(_) => out.insert_ms.push(ms(mutate)),
             Op::Remove(_) => out.remove_ms.push(ms(mutate)),
@@ -355,29 +352,32 @@ pub fn control_plane(initial: &MtlSwitch, ops: &[Op], dir: &Path, durable: bool)
         out.rebuilt += usize::from(report.rebuilt);
         out.clone_ms.push(ms(clone));
         out.append_us.push(append.as_secs_f64() * 1e6);
-        attributed += mutate + clone;
+        cpu_ns += append_cpu + mutate_cpu + clone_cpu;
         since += 1;
         if since >= defaults.checkpoint_every {
             since = 0;
             version += 1;
-            let checkpoint = timed(|| {
+            let ((), checkpoint, checkpoint_cpu) = clocked(|| {
                 let image = master.encode_image();
                 store
                     .checkpoint(version, &image, CheckpointMode::Durable)
                     .expect("replay checkpoint");
             });
             out.checkpoint_ms.push(ms(checkpoint));
-            if durable {
-                attributed += checkpoint;
-            }
+            cpu_ns += checkpoint_cpu;
         }
-        if durable {
-            attributed += append;
-        }
-        out.attributed_ms += ms(attributed);
     }
+    out.attributed_cpu_ms = cpu_ns as f64 / 1e6;
     let disk = store.disk_stats().expect("replay store lists");
     out.wal_bytes = disk.wal_bytes;
     out.snapshot_bytes = disk.snapshot_bytes;
     out
+}
+
+/// `f`'s result, wall-clock time and calling-thread CPU time (ns).
+fn clocked<T>(f: impl FnOnce() -> T) -> (T, Duration, u64) {
+    let (t, c) = (Instant::now(), cpu::thread_ns());
+    let r = f();
+    let cpu = cpu::thread_ns() - c;
+    (r, t.elapsed(), cpu)
 }

@@ -12,34 +12,36 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::cpu;
 use crate::loadgen::{
     closed_loop, nanos, open_loop, sleep_until, GroupSchedule, OpenLoop, Schedule, UPDATE_SPIN,
 };
 use crate::oracle::{BatchRecord, Oracle, StreamPlan};
-use crate::replay::{control_plane, data_plane};
+use crate::replay::{control_plane, data_plane, ControlReplay};
 use crate::stats::{mean, median, percentile};
 use crate::workload::{Inputs, Op, Spec, BATCH, GROUP, SHARDS};
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 9;
+/// Set-ups per run; `setup_s` is the median of their CPU time. A
+/// `zipf-hot` set-up takes about 10 ms, so single ones scatter widely.
+const SETUP_REPEATS: usize = 15;
 
 /// Traffic rounds per run. A round is a saturation segment (40 % of its
-/// time) followed by a latency segment (60 %); every data-plane figure
-/// is the median over rounds, so a burst of contention from outside the
+/// time) followed by a latency segment (60 %); rates and latencies are
+/// medians over rounds, so a burst of contention from outside the
 /// process spoils one round instead of the run.
 const ROUNDS: usize = 20;
 
 /// Batches in flight during saturation segments.
 const WINDOW: usize = 16;
 
-/// Updates of the control phase that workloads without churn run after
-/// their traffic (30 groups): enough for ten samples beyond the p90.
-const CONTROL_UPDATES: usize = 30 * GROUP;
-
-/// Tolerances of the traced run's self-checks.
+/// Tolerances of the traced run's self-checks; a figure outside its
+/// tolerance fails the run (see `perfbench/README.md`).
 const STAGE_SUM_TOLERANCE: f64 = 0.25;
-const UNATTRIBUTED_TOLERANCE: f64 = 0.25;
+const UNATTRIBUTED_TOLERANCE: f64 = 0.4;
 const UTILIZATION_LAW_TOLERANCE: f64 = 0.02;
+
+/// Samples a reported percentile must leave beyond it.
+const MIN_BEYOND: usize = 10;
 
 /// Command-line arguments.
 pub struct Args {
@@ -61,17 +63,34 @@ fn metric(name: &'static str, value: f64, unit: &'static str, better: &'static s
     Metric { name, value, unit, better }
 }
 
+/// A self-check: what was compared, and whether it held.
+pub struct Check {
+    pub pass: bool,
+    pub line: String,
+}
+
 /// Everything a run prints.
 pub struct Report {
     /// The metrics of this mode, in `BENCHMARK.json` order.
     pub metrics: Vec<Metric>,
     /// Figures printed beside them but not tracked.
     pub extra: Vec<Metric>,
-    /// Self-check lines.
-    pub checks: Vec<String>,
-    pub correct: bool,
+    /// Self-checks; the run is correct only if every one passes.
+    pub checks: Vec<Check>,
+    /// Further facts about the run, printed but not checked.
+    pub notes: Vec<String>,
     pub attempted: u64,
     pub failed: u64,
+}
+
+impl Report {
+    pub fn correct(&self) -> bool {
+        self.checks.iter().all(|c| c.pass)
+    }
+
+    fn check(&mut self, pass: bool, line: String) {
+        self.checks.push(Check { pass, line });
+    }
 }
 
 /// A directory under the working directory, removed on drop.
@@ -108,13 +127,15 @@ fn secs(s: f64) -> Duration {
 }
 
 /// Builds the table, starts the runtime and serves one pass of the
-/// stream so caches, lookup buffers and snapshots are warm.
-fn setup(spec: &Spec, inputs: &Inputs, dir: &Path) -> (Runtime<MtlSwitch>, f64) {
-    let started = Instant::now();
+/// stream, [`WINDOW`] batches at a time, so caches, lookup buffers and
+/// snapshots are warm. Returns the runtime, the wall-clock seconds and
+/// the CPU seconds of the whole process that this took.
+fn setup(spec: &Spec, inputs: &Inputs, dir: &Path) -> (Runtime<MtlSwitch>, f64, f64) {
+    let (started, cpu_before) = (Instant::now(), cpu::process_ns());
     let switch =
         <MtlSwitch as ClassifierBuilder>::try_build(&inputs.set).expect("the generated set builds");
     let config = runtime_config();
-    let rt = if spec.churn {
+    let rt = if spec.churn_groups_per_sec.is_some() {
         Runtime::with_durability(switch, &config, &DurabilityConfig::new(dir))
             .expect("durable runtime boots")
             .0
@@ -122,15 +143,14 @@ fn setup(spec: &Spec, inputs: &Inputs, dir: &Path) -> (Runtime<MtlSwitch>, f64) 
         Runtime::with_control(switch, &config)
     };
     let handle = rt.handle();
-    let nb = inputs.batches.len();
-    closed_loop(
-        WINDOW,
-        Instant::now(),
-        |k| handle.submit(Arc::clone(&inputs.batches[k as usize % nb])),
-        Ticket::wait,
-        |_, _| {},
-    );
-    (rt, started.elapsed().as_secs_f64())
+    for window in inputs.batches.chunks(WINDOW) {
+        let tickets: Vec<Ticket> = window.iter().map(|b| handle.submit(Arc::clone(b))).collect();
+        for ticket in tickets {
+            ticket.wait();
+        }
+    }
+    let cpu_s = (cpu::process_ns() - cpu_before) as f64 / 1e9;
+    (rt, started.elapsed().as_secs_f64(), cpu_s)
 }
 
 /// What the controller saw.
@@ -141,6 +161,8 @@ struct Updates {
     /// Call → return of each add / remove, ms.
     add_ms: Vec<f64>,
     remove_ms: Vec<f64>,
+    /// Controller-thread CPU time inside `add_rule`/`remove_rule`, ms.
+    cpu_ms: f64,
     /// `UpdateReport.records` per accepted update.
     records: Vec<usize>,
     executed: usize,
@@ -166,13 +188,14 @@ fn control(
             Op::Remove(_) => None,
         };
         sleep_until(due, UPDATE_SPIN);
-        let called = Instant::now();
+        let (called, cpu_before) = (Instant::now(), cpu::thread_ns());
         let report = match (add, op) {
             (Some(rule), _) => handle.add_rule(rule).ok().map(|(r, _)| r),
             (None, Op::Remove(id)) => handle.remove_rule(*id).map(|(r, _)| r),
             (None, Op::Add(_)) => unreachable!("adds carry their rule"),
         };
         let returned = Instant::now();
+        out.cpu_ms += (cpu::thread_ns() - cpu_before) as f64 / 1e6;
         out.latency_ns.push(nanos(returned - due));
         let took = (returned - called).as_secs_f64() * 1e3;
         match op {
@@ -236,9 +259,11 @@ impl Traffic<'_> {
         self.records.push(record);
     }
 
-    /// Closed loop until `end`; returns the completion rate, Mpkt/s.
-    fn saturate(&mut self, end: Instant, traced: bool) -> f64 {
-        let before = self.completed;
+    /// Closed loop until `end`; returns the completion rate, Mpkt/s, the
+    /// CPU time the whole process spent meanwhile, ns, and the packets
+    /// completed.
+    fn saturate(&mut self, end: Instant, traced: bool) -> (f64, u64, u64) {
+        let (before, cpu_before) = (self.completed, cpu::process_ns());
         let this = std::cell::RefCell::new(&mut *self);
         let (_, elapsed) = closed_loop(
             WINDOW,
@@ -247,7 +272,8 @@ impl Traffic<'_> {
             |(b, t): (usize, Ticket)| (b, t.wait()),
             |_, (b, batch)| this.borrow_mut().complete(b, &batch),
         );
-        (self.completed - before) as f64 / elapsed.as_secs_f64() / 1e6
+        let packets = self.completed - before;
+        (packets as f64 / elapsed.as_secs_f64() / 1e6, cpu::process_ns() - cpu_before, packets)
     }
 
     /// Open loop at `mpps` until `end`.
@@ -287,6 +313,15 @@ impl Busy {
 #[derive(Default)]
 struct Rounds {
     plain_mpps: Vec<f64>,
+    /// Process CPU time and packets completed over every plain
+    /// saturation segment. Their ratio is taken over the whole run, not
+    /// per round: a `churn-16k` remove lands in some segments and not in
+    /// others, and a median over rounds would flip between the two.
+    plain_cpu_ns: u64,
+    plain_packets: u64,
+    /// Core clock measured before each saturation segment, GHz: the
+    /// host's turbo clock moved between 2.5 and 3.0 GHz from run to run.
+    clock_ghz: Vec<f64>,
     traced_mpps: Vec<f64>,
     p50_ns: Vec<f64>,
     p90_ns: Vec<f64>,
@@ -301,26 +336,22 @@ struct Rounds {
 pub fn run(args: &Args) -> Report {
     let spec = args.spec;
     let round_s = args.seconds / ROUNDS as f64;
-    // Workloads without churn run their updates in a control phase after
-    // the traffic, so every workload reports update latency.
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let ops = if spec.churn {
-        (spec.update_groups_per_sec * args.seconds).ceil() as usize * GROUP
-    } else {
-        CONTROL_UPDATES
-    };
+    let ops = spec.churn_groups_per_sec.map_or(0, |g| (g * args.seconds).ceil() as usize * GROUP);
     let inputs = Inputs::generate(spec, args.seed, ops);
     // Oracle preparation: outside set-up and every timed window.
     let oracle = Oracle::prepare(&inputs.set.rules, &inputs.flows, &inputs.ops);
     let plan = StreamPlan::new(&inputs.stream, &inputs.flows);
     let tmp = TempDir::new(spec.name);
 
-    let mut setup_s = Vec::with_capacity(SETUP_REPEATS);
+    let mut setup_wall_s = Vec::with_capacity(SETUP_REPEATS);
+    let mut setup_cpu_s = Vec::with_capacity(SETUP_REPEATS);
     let mut served = None;
     for i in 0..SETUP_REPEATS {
         drop(served.take());
-        let (rt, took) = setup(spec, &inputs, &tmp.0.join(format!("store-{i}")));
-        setup_s.push(took);
+        let (rt, wall, cpu) = setup(spec, &inputs, &tmp.0.join(format!("store-{i}")));
+        setup_wall_s.push(wall);
+        setup_cpu_s.push(cpu);
         served = Some(rt);
     }
     let rt = served.expect("at least one set-up");
@@ -341,23 +372,25 @@ pub fn run(args: &Args) -> Report {
     let mut rounds = Rounds { min_beyond_p90: usize::MAX, ..Rounds::default() };
     let start = Instant::now();
     let updates = std::thread::scope(|scope| {
-        let controller = spec.churn.then(|| {
+        let controller = spec.churn_groups_per_sec.map(|groups_per_sec| {
             let h = handle.clone();
             let ops = &inputs.ops;
-            let schedule = GroupSchedule::new(start, spec.update_groups_per_sec);
+            let schedule = GroupSchedule::new(start, groups_per_sec);
             scope.spawn(move || control(&h, ops, schedule, start + secs(args.seconds)))
         });
         for r in 0..ROUNDS {
             let round_start = start + secs(round_s * r as f64);
             let sat_end = round_start + secs(0.4 * round_s);
+            // In the traced run the segment is half plain, half with the
+            // benchmark's own timers: the difference is what they cost.
+            let plain_end = if args.trace { round_start + secs(0.2 * round_s) } else { sat_end };
+            rounds.clock_ghz.push(cpu::clock_ghz());
+            let (mpps, cpu_ns, packets) = traffic.saturate(plain_end, false);
+            rounds.plain_mpps.push(mpps);
+            rounds.plain_cpu_ns += cpu_ns;
+            rounds.plain_packets += packets;
             if args.trace {
-                // Half plain, half with the benchmark's own timers: the
-                // difference is what those timers cost.
-                let mid = round_start + secs(0.2 * round_s);
-                rounds.plain_mpps.push(traffic.saturate(mid, false));
-                rounds.traced_mpps.push(traffic.saturate(sat_end, true));
-            } else {
-                rounds.plain_mpps.push(traffic.saturate(sat_end, false));
+                rounds.traced_mpps.push(traffic.saturate(sat_end, true).0);
             }
             let before = handle.telemetry();
             let open = traffic.offer(spec.offered_mpps, round_start + secs(round_s), args.trace);
@@ -369,13 +402,7 @@ pub fn run(args: &Args) -> Report {
             rounds.min_beyond_p90 = rounds.min_beyond_p90.min(beyond);
             rounds.open.absorb(open);
         }
-        match controller {
-            Some(c) => c.join().expect("controller thread"),
-            None => {
-                let schedule = GroupSchedule::new(Instant::now(), spec.update_groups_per_sec);
-                control(&handle, &inputs.ops, schedule, schedule.due(ops as u64))
-            }
-        }
+        controller.map_or_else(Updates::default, |c| c.join().expect("controller thread"))
     });
     let end_tel = handle.telemetry();
     let records = std::mem::take(&mut traffic.records);
@@ -398,63 +425,87 @@ pub fn run(args: &Args) -> Report {
     let attempted = offered + updates.executed as u64 + inputs.flows.len() as u64;
     let failed =
         verdict.unserved + verdict.mismatched_packets + updates.rejected + final_mismatches;
-    let mut checks = vec![format!(
-        "oracle: {} batches checked, {} mismatched, {} unserved packets; {} flows re-checked \
-         on the final table, {} mismatched; {} of {} updates rejected",
-        records.len(),
-        verdict.mismatched_batches,
-        verdict.unserved,
-        inputs.flows.len(),
-        final_mismatches,
-        updates.rejected,
-        updates.executed
-    )];
     let stalls: u64 = end_tel.per_shard.iter().map(|s| s.stalls_detected).sum();
-    checks.push(format!(
-        "runtime: {} worker restarts, {stalls} stalls detected, {} ticket timeouts",
-        end_tel.total_restarts(),
-        end_tel.ticket_timeouts
-    ));
-    let mut upd = updates.latency_ns.clone();
-    let (u50, _) = percentile(&mut upd, 0.50);
-    let (u90, beyond90) = percentile(&mut upd, 0.90);
-    let (p99, beyond99) = percentile(&mut rounds.open.latency_ns.clone(), 0.99);
-    checks.push(format!(
-        "samples: {} batch latencies over {ROUNDS} rounds (at least {} beyond p90 in each, \
-         {beyond99} beyond the pooled p99), {} update latencies ({beyond90} beyond p90)",
-        rounds.open.latency_ns.len(),
-        rounds.min_beyond_p90,
-        upd.len()
-    ));
-    if rounds.min_beyond_p90 < 10 || beyond99 < 10 || beyond90 < 10 {
-        checks.push("WARNING: fewer than 10 samples beyond a reported percentile".into());
-    }
-    let throughput_mpps = median(&mut rounds.plain_mpps);
     let mut report = Report {
         metrics: Vec::new(),
         extra: Vec::new(),
-        checks,
-        correct: verdict.mismatched_batches == 0 && final_mismatches == 0,
+        checks: Vec::new(),
+        notes: vec![format!(
+            "runtime: {} worker restarts, {stalls} stalls detected, {} ticket timeouts; \
+             {} of {} updates rejected, {} unserved packets",
+            end_tel.total_restarts(),
+            end_tel.ticket_timeouts,
+            updates.rejected,
+            updates.executed,
+            verdict.unserved
+        )],
         attempted,
         failed,
     };
+    report.check(
+        verdict.mismatched_batches == 0 && final_mismatches == 0,
+        format!(
+            "oracle: {} batches checked, {} mismatched; {} flows re-checked on the final \
+             table, {final_mismatches} mismatched (must be 0)",
+            records.len(),
+            verdict.mismatched_batches,
+            inputs.flows.len()
+        ),
+    );
+    let allocs = end_tel.hot_path_allocs() - warm.hot_path_allocs();
+    report.check(allocs == 0, format!("hot path: {allocs} allocations after warm-up (must be 0)"));
+    let (p99, beyond99) = percentile(&mut rounds.open.latency_ns.clone(), 0.99);
+    report.check(
+        rounds.min_beyond_p90 >= MIN_BEYOND && beyond99 >= MIN_BEYOND,
+        format!(
+            "samples: {} batch latencies over {ROUNDS} rounds, at least {} beyond p90 in each \
+             round, {beyond99} beyond the pooled p99 (at least {MIN_BEYOND} each)",
+            rounds.open.latency_ns.len(),
+            rounds.min_beyond_p90
+        ),
+    );
+    let mut update_latency = None;
+    if spec.churn_groups_per_sec.is_some() {
+        let mut upd = updates.latency_ns.clone();
+        let (u50, _) = percentile(&mut upd, 0.50);
+        let (u90, beyond90) = percentile(&mut upd, 0.90);
+        report.check(
+            beyond90 >= MIN_BEYOND,
+            format!(
+                "samples: {} update latencies, {beyond90} beyond p90 (at least {MIN_BEYOND})",
+                upd.len()
+            ),
+        );
+        update_latency = Some((u50, u90));
+    }
+
     if !args.trace {
-        let records: Vec<f64> = updates.records.iter().map(|&r| r as f64).collect();
+        let cpu_ns_per_pkt = rounds.plain_cpu_ns as f64 / rounds.plain_packets as f64;
+        let clock_ghz = median(&mut rounds.clock_ghz);
         report.metrics = vec![
-            metric("throughput_mpps", throughput_mpps, "Mpkt/s", "higher"),
-            metric("update_latency_p50_ms", u50 as f64 / 1e6, "ms", "lower"),
-            metric("update_latency_p90_ms", u90 as f64 / 1e6, "ms", "lower"),
-            metric("update_records_per_op", mean(&records), "records", "lower"),
+            metric("cycles_per_pkt", cpu_ns_per_pkt * clock_ghz, "cycles", "lower"),
             metric("memory_mbit", table.memory_bits() as f64 / 1e6, "Mbit", "lower"),
             metric("peak_rss_mib", peak_rss_mib(), "MiB", "lower"),
-            metric("setup_s", median(&mut setup_s), "s", "lower"),
+            metric("setup_s", median(&mut setup_cpu_s), "s", "lower"),
         ];
         report.extra = vec![
+            metric("setup_wall_s", median(&mut setup_wall_s), "s", "lower"),
+            metric("cpu_ns_per_pkt", cpu_ns_per_pkt, "ns", "lower"),
+            metric("clock_ghz", clock_ghz, "GHz", "higher"),
+            metric("throughput_mpps", median(&mut rounds.plain_mpps), "Mpkt/s", "higher"),
             metric("latency_p50_us", median(&mut rounds.p50_ns) / 1e3, "us", "lower"),
             metric("latency_p90_us", median(&mut rounds.p90_ns) / 1e3, "us", "lower"),
             metric("latency_p99_us", p99 as f64 / 1e3, "us", "lower"),
             metric("error_rate", failed as f64 / attempted as f64, "ratio", "lower"),
         ];
+        if let Some((u50, u90)) = update_latency {
+            let records: Vec<f64> = updates.records.iter().map(|&r| r as f64).collect();
+            report.extra.extend([
+                metric("update_latency_p50_ms", u50 as f64 / 1e6, "ms", "lower"),
+                metric("update_latency_p90_ms", u90 as f64 / 1e6, "ms", "lower"),
+                metric("update_records_per_op", mean(&records), "records", "lower"),
+            ]);
+        }
         return report;
     }
 
@@ -473,10 +524,14 @@ pub fn run(args: &Args) -> Report {
     let x = (open.latency_ns.len() * BATCH) as f64 / open_s;
     let s_pkt = busy.busy_ns as f64 / 1e9 / shard_packets.max(1) as f64;
     let law = x * s_pkt / SHARDS as f64;
-    report.checks.push(format!(
-        "utilization law: U = {busy_ratio:.4}, X·S/shards = {law:.4}, ratio {:.4} (tolerance ±{UTILIZATION_LAW_TOLERANCE})",
-        busy_ratio / law
-    ));
+    report.check(
+        (busy_ratio / law - 1.0).abs() <= UTILIZATION_LAW_TOLERANCE,
+        format!(
+            "utilization law: U = {busy_ratio:.4}, X·S/shards = {law:.4}, ratio {:.4} \
+             (tolerance ±{UTILIZATION_LAW_TOLERANCE})",
+            busy_ratio / law
+        ),
+    );
     let cache = |t: &RuntimeTelemetry| {
         t.per_shard.iter().map(|s| s.cache).fold(CacheStats::default(), CacheStats::merged)
     };
@@ -489,7 +544,6 @@ pub fn run(args: &Args) -> Report {
         .zip(&warm.per_shard)
         .map(|(b, a)| b.snapshot_refreshes - a.snapshot_refreshes)
         .sum();
-    let allocs = end_tel.hot_path_allocs() - warm.hot_path_allocs();
     let recorder = end_tel.trace.unwrap_or_default();
     let overheads: Vec<f64> =
         rounds.plain_mpps.iter().zip(&rounds.traced_mpps).map(|(p, t)| 1.0 - t / p).collect();
@@ -500,24 +554,42 @@ pub fn run(args: &Args) -> Report {
         inputs.batches.iter().flat_map(|b| b.iter().cloned()).collect();
     let dp = data_plane(table, &headers, runtime_config().cache_capacity);
     let stage_sum = dp.stage_sum_ratio;
-    report.correct &= dp.mismatches == 0;
-    report.checks.push(format!(
-        "stage replay: {} packets, {} walked, {} composed answers differ from classify_row; \
-         stage sum / classify_row = {stage_sum:.3} (tolerance ±{STAGE_SUM_TOLERANCE})",
-        dp.packets, dp.walked, dp.mismatches
-    ));
+    report.check(
+        dp.mismatches == 0,
+        format!(
+            "stage replay: {} packets, {} walked, {} composed answers differ from classify_row \
+             (must be 0)",
+            dp.packets, dp.walked, dp.mismatches
+        ),
+    );
+    report.check(
+        (stage_sum - 1.0).abs() <= STAGE_SUM_TOLERANCE,
+        format!(
+            "stage sum: (engine + index + action) / classify_row = {stage_sum:.3} \
+             (tolerance ±{STAGE_SUM_TOLERANCE})"
+        ),
+    );
 
-    let initial =
-        <MtlSwitch as ClassifierBuilder>::try_build(&inputs.set).expect("the generated set builds");
     let executed = &inputs.ops[..updates.executed];
-    let cp = control_plane(&initial, executed, &tmp.0.join("replay"), spec.churn);
-    let runtime_ms: f64 = updates.add_ms.iter().chain(&updates.remove_ms).sum();
-    let unattributed = 1.0 - cp.attributed_ms / runtime_ms;
-    report.checks.push(format!(
-        "control replay: {} updates, runtime {runtime_ms:.1} ms, attributed {:.1} ms, \
-         unattributed share {unattributed:.3} (tolerance ±{UNATTRIBUTED_TOLERANCE})",
-        updates.executed, cp.attributed_ms
-    ));
+    let (cp, unattributed) = if executed.is_empty() {
+        report.notes.push("control replay: no updates on this workload".into());
+        (ControlReplay::default(), 0.0)
+    } else {
+        let initial = <MtlSwitch as ClassifierBuilder>::try_build(&inputs.set)
+            .expect("the generated set builds");
+        let cp = control_plane(&initial, executed, &tmp.0.join("replay"));
+        let unattributed = 1.0 - cp.attributed_cpu_ms / updates.cpu_ms;
+        report.check(
+            unattributed.abs() <= UNATTRIBUTED_TOLERANCE,
+            format!(
+                "control replay: {} updates, controller CPU in add_rule/remove_rule {:.1} ms, \
+                 replayed stages {:.1} ms, unattributed share {unattributed:.3} \
+                 (tolerance ±{UNATTRIBUTED_TOLERANCE})",
+                updates.executed, updates.cpu_ms, cp.attributed_cpu_ms
+            ),
+        );
+        (cp, unattributed)
+    };
     let memory = SwitchMemoryReport::of(table);
     let mbit = |bits: u64| bits as f64 / 1e6;
     let offered_mpps = open.sent as f64 * BATCH as f64 / open_s / 1e6;

@@ -56,13 +56,10 @@ pub struct Spec {
     pub stream_packets: usize,
     /// Offered load of the open-loop latency phase, Mpkt/s.
     pub offered_mpps: f64,
-    /// Update groups ([`GROUP`] updates each) offered per second.
-    pub update_groups_per_sec: f64,
-    /// A durable runtime (WAL + checkpoints) whose updates run beside the
-    /// traffic. Otherwise the control plane is in memory and the updates
-    /// run in their own phase after the traffic, so the data-plane
-    /// figures see no publish.
-    pub churn: bool,
+    /// Update groups ([`GROUP`] updates each) offered per second beside
+    /// the traffic, on a durable runtime (WAL + checkpoints). `None`: no
+    /// updates, and the control plane stays in memory.
+    pub churn_groups_per_sec: Option<f64>,
 }
 
 /// Every workload, in `BENCHMARK.json` order.
@@ -75,8 +72,7 @@ pub const WORKLOADS: [Spec; 3] = [
         oneshot: 0.01,
         stream_packets: 1 << 16,
         offered_mpps: 2.0,
-        update_groups_per_sec: 33.0,
-        churn: false,
+        churn_groups_per_sec: None,
     },
     Spec {
         name: "uniform-cold",
@@ -86,8 +82,7 @@ pub const WORKLOADS: [Spec; 3] = [
         oneshot: 0.0,
         stream_packets: 1 << 17,
         offered_mpps: 0.4,
-        update_groups_per_sec: 2.5,
-        churn: false,
+        churn_groups_per_sec: None,
     },
     Spec {
         name: "churn-16k",
@@ -97,8 +92,7 @@ pub const WORKLOADS: [Spec; 3] = [
         oneshot: 0.01,
         stream_packets: 1 << 16,
         offered_mpps: 1.0,
-        update_groups_per_sec: 1.25,
-        churn: true,
+        churn_groups_per_sec: Some(1.25),
     },
 ];
 
