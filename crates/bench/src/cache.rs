@@ -22,10 +22,10 @@
 //!   JSON instead of recomputing rates.
 //!
 //! The same harness also runs two Table I baselines (TSS, HiCuts)
-//! behind [`CachedClassifier`] — the identical cache the architecture
-//! uses, via the unified `Classifier` surface — and asserts their
+//! through [`FlowCache::get_or_classify`] — the identical memo the
+//! architecture and the runtime's shard workers use — and asserts their
 //! cached results are byte-identical to the bare engines across every
-//! trace (as it does for the whole cached registry).
+//! trace (as it does for every entry of the standard registry).
 //!
 //! Correctness is asserted, not sampled: for every skew the cached
 //! results must be byte-identical to the uncached results, including
@@ -39,8 +39,8 @@ use crate::alloc_probe;
 use crate::data::Workloads;
 use crate::output::{obj, render_table, write_json, Json, ToJson};
 use crate::registry;
-use classifier_api::{CacheStats, CachedClassifier, Classifier};
-use mtl_core::{ClassifierBuilder, FlowCache, MtlSwitch};
+use classifier_api::{CacheStats, Classifier, ClassifierBuilder, FlowCache};
+use mtl_core::MtlSwitch;
 use ofbaseline::hicuts::HiCutsTree;
 use ofbaseline::tss::TupleSpaceSearch;
 use offilter::synth::{generate_trace, TraceConfig};
@@ -146,7 +146,7 @@ impl ToJson for TrieWalkStage {
     }
 }
 
-/// One Table I baseline behind [`CachedClassifier`].
+/// One Table I baseline behind the flow cache.
 #[derive(Debug, Clone)]
 pub struct CachedBaselineRow {
     /// Bare engine name ("tss", "hicuts").
@@ -248,6 +248,27 @@ fn time_per(reps: usize, items: usize, mut f: impl FnMut() -> usize) -> f64 {
     }
     std::hint::black_box(sink);
     start.elapsed().as_nanos() as f64 / (reps * items.max(1)) as f64
+}
+
+/// Serves `trace` through `cache`, memoising `classify` under `epoch`.
+fn cached_rows(
+    cache: &mut FlowCache,
+    epoch: u64,
+    trace: &[HeaderValues],
+    classify: impl Fn(&HeaderValues) -> Option<u32>,
+) -> Vec<Option<u32>> {
+    trace.iter().map(|h| cache.get_or_classify(epoch, h, &classify)).collect()
+}
+
+/// The architecture's action rows for `trace`, served through `cache`
+/// under the switch's current epoch.
+fn switch_rows(
+    sw: &MtlSwitch,
+    kind: FilterKind,
+    trace: &[HeaderValues],
+    cache: &mut FlowCache,
+) -> Vec<Option<u32>> {
+    cached_rows(cache, sw.epoch(), trace, |h| sw.classify_row(kind, h))
 }
 
 /// A routing rule for the update-consistency probe (an id far above the
@@ -363,28 +384,27 @@ fn sweep_point(
 
     // Blind admission (the PR 3 policy): warm, verify, time.
     let mut blind = FlowCache::blind(cache_capacity);
-    let warmed = sw.classify_batch_rows_cached(kind, trace, &mut blind);
+    let warmed = switch_rows(sw, kind, trace, &mut blind);
     assert_eq!(warmed, expect, "{label}: blind-cached disagrees with uncached");
     blind.reset_stats();
-    let cached_blind_ns = time_per(reps, trace.len(), || {
-        sw.classify_batch_rows_cached(kind, trace, &mut blind).len()
-    });
+    let cached_blind_ns =
+        time_per(reps, trace.len(), || switch_rows(sw, kind, trace, &mut blind).len());
     let blind_hit_rate = blind.hit_rate();
 
     // Window-less TinyLFU (the PR 4 policy): the recency-window A/B
     // partner — warmed hit rate only (the timed policy is the default).
     let mut nowindow = FlowCache::with_window(cache_capacity, 0);
     for _ in 0..2 {
-        let warmed = sw.classify_batch_rows_cached(kind, trace, &mut nowindow);
+        let warmed = switch_rows(sw, kind, trace, &mut nowindow);
         assert_eq!(warmed, expect, "{label}: window-less cached disagrees with uncached");
     }
     nowindow.reset_stats();
-    let _ = sw.classify_batch_rows_cached(kind, trace, &mut nowindow);
+    let _ = switch_rows(sw, kind, trace, &mut nowindow);
     let tinylfu_nowindow_hit_rate = nowindow.hit_rate();
 
     // TinyLFU admission: warm, verify, and prove update consistency.
     let mut cache = FlowCache::new(cache_capacity);
-    let warmed = sw.classify_batch_rows_cached(kind, trace, &mut cache);
+    let warmed = switch_rows(sw, kind, trace, &mut cache);
     assert_eq!(warmed, expect, "{label}: cached disagrees with uncached");
 
     // Update-consistency: an incremental add + remove must invalidate
@@ -392,31 +412,32 @@ fn sweep_point(
     let added = sw.add_rule(kind, probe_rule());
     assert!(added.stats.records > 0);
     let after_add_uncached = sw.classify_batch_rows(kind, trace);
-    let after_add_cached = sw.classify_batch_rows_cached(kind, trace, &mut cache);
+    let after_add_cached = switch_rows(sw, kind, trace, &mut cache);
     assert_eq!(after_add_cached, after_add_uncached, "{label}: stale cache after add_rule");
     sw.remove_rule(kind, probe_rule().id).expect("probe rule exists");
-    let after_remove = sw.classify_batch_rows_cached(kind, trace, &mut cache);
+    let after_remove = switch_rows(sw, kind, trace, &mut cache);
     assert_eq!(after_remove, expect, "{label}: stale cache after remove_rule");
 
     // Re-warm post-update (the admission sketch needs a little history
     // to separate residents from scan garbage), then measure.
     for _ in 0..2 {
-        let _ = sw.classify_batch_rows_cached(kind, trace, &mut cache);
+        let _ = switch_rows(sw, kind, trace, &mut cache);
     }
     cache.reset_stats();
-    let cached_tinylfu_ns = time_per(reps, trace.len(), || {
-        sw.classify_batch_rows_cached(kind, trace, &mut cache).len()
-    });
+    let cached_tinylfu_ns =
+        time_per(reps, trace.len(), || switch_rows(sw, kind, trace, &mut cache).len());
     let tinylfu_hit_rate = cache.hit_rate();
     let stats = cache.stats();
 
     // Allocation probe on the warmed per-packet cached path (the batch
-    // entry point's result vector is excluded by probing the
-    // single-packet surface, mirroring the throughput experiment).
+    // result vector is excluded by probing packet by packet, mirroring
+    // the throughput experiment).
+    let epoch = sw.epoch();
     let (sunk, allocs) = alloc_probe::allocations_in(|| {
         let mut s = 0usize;
         for h in trace {
-            s = s.wrapping_add(sw.classify_cached(kind, h, &mut cache).unwrap_or(0) as usize);
+            let row = cache.get_or_classify(epoch, h, |h| sw.classify_row(kind, h));
+            s = s.wrapping_add(row.unwrap_or(0) as usize);
         }
         s
     });
@@ -443,31 +464,35 @@ fn sweep_point(
     }
 }
 
-/// Puts one baseline behind [`CachedClassifier`], asserts byte-identical
-/// results on every trace, and times bare vs cached on the last
-/// (heaviest-skew) trace. The bare comparison engine is the wrapper's
-/// own inner classifier — one build, trivially the same rule set.
-fn cached_baseline<C: Classifier>(
-    cached: &CachedClassifier<C>,
+/// Serves one baseline through a TinyLFU [`FlowCache`] of
+/// `cache_capacity` slots, asserts byte-identical results on every
+/// trace, and times bare vs cached on the last (heaviest-skew) trace.
+/// The engine is never mutated here, so one epoch covers the whole run.
+fn cached_baseline(
+    bare: &impl Classifier,
+    cache_capacity: usize,
     traces: &[(String, Vec<HeaderValues>)],
     reps: usize,
 ) -> CachedBaselineRow {
-    let bare = cached.inner();
+    let mut cache = FlowCache::new(cache_capacity);
+    let cached_name = format!("{}+cache", bare.name());
+    let classify = |h: &HeaderValues| bare.classify(h);
     for (label, trace) in traces {
         let want = bare.classify_batch(trace);
-        let cold = cached.classify_batch(trace);
-        assert_eq!(cold, want, "{label}: {} diverges from {}", cached.name(), bare.name());
-        let warm = cached.classify_batch(trace);
-        assert_eq!(warm, want, "{label}: warmed {} diverges", cached.name());
+        let cold = cached_rows(&mut cache, 0, trace, classify);
+        assert_eq!(cold, want, "{label}: {cached_name} diverges from {}", bare.name());
+        let warm = cached_rows(&mut cache, 0, trace, classify);
+        assert_eq!(warm, want, "{label}: warmed {cached_name} diverges");
     }
     let (_, trace) = traces.last().expect("at least one trace");
     let uncached_ns = time_per(reps, trace.len(), || bare.classify_batch(trace).len());
-    cached.reset_stats();
-    let cached_ns = time_per(reps, trace.len(), || cached.classify_batch(trace).len());
-    let hit_rate = cached.stats().hit_rate();
+    cache.reset_stats();
+    let cached_ns =
+        time_per(reps, trace.len(), || cached_rows(&mut cache, 0, trace, classify).len());
+    let hit_rate = cache.hit_rate();
     CachedBaselineRow {
         name: bare.name().to_owned(),
-        cached_name: cached.name().to_owned(),
+        cached_name,
         identical: true,
         hit_rate,
         uncached_ns_per_packet: uncached_ns,
@@ -480,7 +505,7 @@ fn cached_baseline<C: Classifier>(
 ///
 /// # Panics
 /// Panics if cached and uncached results ever disagree — for the
-/// architecture, for the cached registry, or for the wrapped baselines,
+/// architecture, for any registry entry, or for the cached baselines,
 /// before or after incremental updates — or if the scalar and SIMD trie
 /// walks diverge.
 #[must_use]
@@ -524,35 +549,30 @@ pub fn run_on_traces(
         ));
     }
 
-    // The whole cached registry must agree with the bare registry on the
-    // heaviest trace (every baseline behind the identical cache).
+    // Every registry entry behind its own cache must agree with the bare
+    // entry on the heaviest trace, cold and warm.
     let standard = registry::standard_registry(set).expect("registry builds");
-    let cached_reg = registry::cached_registry(set, cache_capacity).expect("registry builds");
     for (category, bare) in standard.iter() {
-        let front = cached_reg.get(category).expect("cached registry mirrors categories");
-        assert_eq!(
-            front.classify_batch(last_trace),
-            bare.classify_batch(last_trace),
-            "{category}: cached registry entry diverges"
-        );
+        let want = bare.classify_batch(last_trace);
+        let mut cache = FlowCache::new(cache_capacity);
+        for pass in ["cold", "warm"] {
+            let got = cached_rows(&mut cache, 0, last_trace, |h| bare.classify(h));
+            assert_eq!(got, want, "{category} ({pass}): cached entry diverges from the bare one");
+        }
     }
 
     let baseline_traces: Vec<(String, Vec<HeaderValues>)> =
         traces.iter().map(|(l, _, t)| (l.clone(), t.clone())).collect();
     let baselines = vec![
         cached_baseline(
-            &CachedClassifier::new(
-                TupleSpaceSearch::try_build(set).expect("tss builds"),
-                cache_capacity,
-            ),
+            &TupleSpaceSearch::try_build(set).expect("tss builds"),
+            cache_capacity,
             &baseline_traces,
             reps,
         ),
         cached_baseline(
-            &CachedClassifier::new(
-                HiCutsTree::try_build(set).expect("hicuts builds"),
-                cache_capacity,
-            ),
+            &HiCutsTree::try_build(set).expect("hicuts builds"),
+            cache_capacity,
             &baseline_traces,
             reps,
         ),
@@ -731,8 +751,8 @@ mod tests {
     fn sweep_verifies_and_measures() {
         let w = Workloads::shared_quick();
         // Small trace: the correctness assertions inside run() (cached ==
-        // uncached for the architecture, the cached registry and the
-        // wrapped baselines, before and after incremental updates; SIMD
+        // uncached for the architecture, every registry entry and the
+        // cached baselines, before and after incremental updates; SIMD
         // == scalar) are the point.
         let e = run(w, "bbra", 1024, 256, 2);
         assert_eq!(e.rows.len(), 3);

@@ -5,9 +5,7 @@
 //! experiment generators iterate this registry instead of duplicating
 //! per-type measurement code.
 
-use classifier_api::{
-    BuildError, CachedClassifier, Classifier, ClassifierBuilder, ClassifierRegistry,
-};
+use classifier_api::{BuildError, Classifier, ClassifierBuilder, ClassifierRegistry};
 use mtl_core::MtlSwitch;
 use ofbaseline::hicuts::HiCutsTree;
 use ofbaseline::linear::LinearClassifier;
@@ -37,42 +35,6 @@ pub fn standard_registry(set: &FilterSet) -> Result<ClassifierRegistry, BuildErr
     Ok(registry)
 }
 
-/// The same registry with every entry fronted by the shared flow cache
-/// ([`CachedClassifier`], TinyLFU admission, `capacity` slots): category
-/// labels mirror [`standard_registry`] so experiments can pair each
-/// cached entry with its bare counterpart and assert byte-identical
-/// results.
-///
-/// # Errors
-/// Propagates the first [`BuildError`] any engine reports.
-pub fn cached_registry(set: &FilterSet, capacity: usize) -> Result<ClassifierRegistry, BuildError> {
-    let mut registry = ClassifierRegistry::new();
-    registry.register(
-        REFERENCE,
-        Box::new(CachedClassifier::new(LinearClassifier::try_build(set)?, capacity)),
-    );
-    registry.register(
-        "Trie-Geometric",
-        Box::new(CachedClassifier::new(HiCutsTree::try_build(set)?, capacity)),
-    );
-    registry.register(
-        "Decomposition",
-        Box::new(CachedClassifier::new(
-            <MtlSwitch as ClassifierBuilder>::try_build(set)?,
-            capacity,
-        )),
-    );
-    registry.register(
-        "Hashing",
-        Box::new(CachedClassifier::new(TupleSpaceSearch::try_build(set)?, capacity)),
-    );
-    registry.register(
-        "Hardware",
-        Box::new(CachedClassifier::new(TcamModel::try_build(set)?, capacity)),
-    );
-    Ok(registry)
-}
-
 /// Human-readable implementation name per category (for table rows).
 #[must_use]
 pub fn implementation_of(classifier: &dyn Classifier) -> String {
@@ -90,7 +52,7 @@ pub fn implementation_of(classifier: &dyn Classifier) -> String {
 mod tests {
     use super::*;
     use crate::data::Workloads;
-    use classifier_api::reference_classify;
+    use classifier_api::{reference_classify, FlowCache};
     use oflow::{HeaderValues, MatchFieldKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -112,8 +74,6 @@ mod tests {
         let w = Workloads::shared_quick();
         let set = w.routing_of("bbra").unwrap();
         let standard = standard_registry(set).expect("registry builds");
-        let cached = cached_registry(set, 256).expect("cached registry builds");
-        assert_eq!(cached.len(), standard.len());
         let mut rng = StdRng::seed_from_u64(23);
         let ports: Vec<u128> = set
             .rules
@@ -127,14 +87,20 @@ mod tests {
                     .with(MatchFieldKind::Ipv4Dst, u128::from(rng.gen::<u32>()))
             })
             .collect();
+        // Every entry behind its own cache, category by category.
         for (category, bare) in standard.iter() {
-            let front = cached.get(category).expect("cached registry mirrors categories");
-            assert!(front.name().ends_with("+cache"), "{category}: {}", front.name());
+            let mut cache = FlowCache::new(256);
             let want = bare.classify_batch(&headers);
             // Cold pass fills the cache, warm pass serves from it; both
             // must be byte-identical to the bare engine.
-            assert_eq!(front.classify_batch(&headers), want, "{category} (cold)");
-            assert_eq!(front.classify_batch(&headers), want, "{category} (warm)");
+            for pass in ["cold", "warm"] {
+                let got: Vec<Option<u32>> = headers
+                    .iter()
+                    .map(|h| cache.get_or_classify(0, h, |h| bare.classify(h)))
+                    .collect();
+                assert_eq!(got, want, "{category} ({pass})");
+            }
+            assert!(cache.hits() > 0, "{category}: the warm pass must hit");
         }
     }
 

@@ -6,20 +6,23 @@
 //! set-associative table memoising `header → result`. A hit skips the
 //! engine entirely; a miss falls through and installs the result.
 //!
-//! The cache lives in `classifier-api` (it moved here from `mtl-core`)
-//! so *every* engine can sit behind it: the decomposition architecture
-//! wires it directly into its batch pipelines, and any boxed
-//! [`Classifier`](crate::Classifier) can be fronted by the identical
-//! cache via [`CachedClassifier`](crate::CachedClassifier).
+//! The cache lives in `classifier-api` so *every* engine can sit behind
+//! it. [`FlowCache::get_or_classify`] is the one memo every caller
+//! serves through: the runtime's shard workers, the `cache` bench
+//! experiment (decomposition architecture and the Table I baselines
+//! alike) and the consistency tests. The caller owns the cache and
+//! passes in the lookup to memoise, so any engine — or any lookup
+//! surface of one engine — is fronted by the identical cache.
 //!
 //! ## Consistency with incremental updates
 //!
-//! Entries are **epoch-stamped**: every mutation of the rule set bumps
-//! the owner's generation counter ([`crate::Classifier::generation`],
-//! `MtlSwitch::epoch` in `mtl-core`), and a cached entry is only served
-//! when its stamp equals the current epoch. Invalidation is therefore
-//! O(1) — one integer increment — with no cache walking; stale entries
-//! die lazily as they are re-probed or overwritten.
+//! Entries are **epoch-stamped**: the owner picks an epoch that changes
+//! with every mutation of the rule set (the runtime uses its snapshot
+//! publish version, a standalone `MtlSwitch` its `epoch()`), and a
+//! cached entry is only served when its stamp equals the current epoch.
+//! Invalidation is therefore O(1) — one integer increment — with no
+//! cache walking; stale entries die lazily as they are re-probed or
+//! overwritten.
 //!
 //! ## Frequency-aware admission (TinyLFU)
 //!
@@ -125,10 +128,6 @@ pub const MAX_CACHED_FIELDS: usize = 8;
 /// Associativity: slots probed per lookup/insert from the hash's home
 /// slot (linear window, wrap-around).
 const WAYS: usize = 4;
-
-/// Hard ceiling on requested capacity (2^28 slots ≈ tens of GiB of
-/// entries): anything larger is a unit error, not a cache.
-const MAX_CAPACITY: usize = 1 << 28;
 
 /// Vacancy sentinel for [`Entry::hash`].
 const EMPTY: u64 = u64::MAX;
@@ -323,9 +322,8 @@ impl Entry {
 /// frequency-aware admission.
 ///
 /// See the [module docs](self) for the design. Create one per worker
-/// thread (or per pipeline) and pass it to the owner's cached lookup
-/// surface (`MtlSwitch::classify_cached` in `mtl-core`, or wrap any
-/// engine in [`crate::CachedClassifier`]); counters accumulate until
+/// thread (or per pipeline) and serve lookups through
+/// [`FlowCache::get_or_classify`]; counters accumulate until
 /// [`FlowCache::reset_stats`] and are read via [`FlowCache::stats`].
 #[derive(Debug, Clone)]
 pub struct FlowCache {
@@ -344,6 +342,10 @@ pub struct FlowCache {
 }
 
 impl FlowCache {
+    /// Hard ceiling on requested capacity (2^28 slots ≈ tens of GiB of
+    /// entries): anything larger is a unit error, not a cache.
+    pub const MAX_CAPACITY: usize = 1 << 28;
+
     /// Creates a cache with W-TinyLFU admission (the default policy):
     /// TinyLFU frequency admission for the main region, fronted by the
     /// default recency window (~1 % of capacity, minimum 2 slots; see
@@ -413,7 +415,7 @@ impl FlowCache {
 
     fn build(capacity: usize, admission: Admission, window: usize) -> Self {
         assert!(
-            capacity <= MAX_CAPACITY,
+            capacity <= Self::MAX_CAPACITY,
             "cache capacity {capacity} exceeds the 2^28-slot ceiling"
         );
         let cap = capacity.next_power_of_two().max(WAYS);
@@ -507,6 +509,28 @@ impl FlowCache {
         }
         self.stats.misses += 1;
         None
+    }
+
+    /// Serves `header` from the cache when it holds a current-`epoch`
+    /// entry; otherwise runs `classify`, memoises its answer under
+    /// `epoch` and returns it. The one memoised-lookup path of the
+    /// workspace: results are byte-identical to calling `classify`
+    /// directly, as long as the caller changes `epoch` whenever the
+    /// answers `classify` gives may change. Allocation-free unless
+    /// `classify` allocates.
+    #[inline]
+    pub fn get_or_classify(
+        &mut self,
+        epoch: u64,
+        header: &HeaderValues,
+        classify: impl FnOnce(&HeaderValues) -> Option<u32>,
+    ) -> Option<u32> {
+        if let Some(row) = self.lookup(epoch, header) {
+            return row;
+        }
+        let row = classify(header);
+        self.insert(epoch, header, row);
+        row
     }
 
     /// Installs a classification result under the given epoch.
@@ -704,6 +728,9 @@ impl FlowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference_classify;
+    use offilter::{Rule, RuleAction};
+    use oflow::FlowMatch;
 
     fn header(port: u128, dst: u128) -> HeaderValues {
         HeaderValues::new().with(MatchFieldKind::InPort, port).with(MatchFieldKind::Ipv4Dst, dst)
@@ -801,7 +828,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "ceiling")]
     fn absurd_capacity_panics() {
-        let _ = FlowCache::new(MAX_CAPACITY + 1);
+        let _ = FlowCache::new(FlowCache::MAX_CAPACITY + 1);
     }
 
     /// The TinyLFU property this PR exists for: a hot working set is not
@@ -962,5 +989,62 @@ mod tests {
         // A cold one-shot candidate must be rejected somewhere along the
         // way once the window filled with higher-frequency residents.
         assert!(c.stats().rejections > 0, "stats: {:?}", c.stats());
+    }
+
+    /// A /8 and a more specific /24 on port 1: enough nesting for the
+    /// memo tests to tell a stale row from a fresh one.
+    fn route(id: u32, priority: u16, value: u128, len: u32) -> Rule {
+        Rule::new(
+            id,
+            priority,
+            FlowMatch::any()
+                .with_exact(MatchFieldKind::InPort, 1)
+                .unwrap()
+                .with_prefix(MatchFieldKind::Ipv4Dst, value, len)
+                .unwrap(),
+            RuleAction::Forward(id),
+        )
+    }
+
+    fn memo_rules() -> Vec<Rule> {
+        vec![route(0, 8, 0x0A00_0000, 8), route(1, 24, 0x0A01_0200, 24)]
+    }
+
+    #[test]
+    fn get_or_classify_is_byte_identical_to_the_engine() {
+        let rules = memo_rules();
+        let engine = |h: &HeaderValues| reference_classify(&rules, h);
+        let headers: Vec<HeaderValues> =
+            (0..64u128).map(|i| header(1 + (i % 3), 0x0A01_0200 + (i % 7))).collect();
+        let mut c = FlowCache::new(64);
+        // Cold pass fills the cache, warm pass serves from it.
+        for pass in 0..2 {
+            for h in &headers {
+                assert_eq!(c.get_or_classify(0, h, engine), engine(h), "pass {pass}: {h}");
+            }
+        }
+        assert!(c.hits() > 0, "the warm pass must be served from the cache");
+        // A hit never calls the engine.
+        let h = &headers[0];
+        assert_eq!(c.get_or_classify(0, h, |_| unreachable!("a hit must not classify")), engine(h));
+    }
+
+    #[test]
+    fn get_or_classify_follows_rule_updates_across_epochs() {
+        let mut rules = memo_rules();
+        let mut c = FlowCache::new(64);
+        let h = header(1, 0x0A01_0203);
+        assert_eq!(c.get_or_classify(0, &h, |h| reference_classify(&rules, h)), Some(1));
+        assert_eq!(c.get_or_classify(0, &h, |_| None), Some(1), "served from cache");
+        // A higher-priority rule arrives under a new epoch: the old row
+        // is not served.
+        rules.push(route(9, 99, 0x0A01_0200, 24));
+        assert_eq!(c.get_or_classify(1, &h, |h| reference_classify(&rules, h)), Some(9));
+        rules.retain(|r| r.id != 9);
+        assert_eq!(c.get_or_classify(2, &h, |h| reference_classify(&rules, h)), Some(1));
+        // A memoised "no match" is a hit like any other row.
+        let miss = header(2, 0x0A01_0203);
+        assert_eq!(c.get_or_classify(2, &miss, |h| reference_classify(&rules, h)), None);
+        assert_eq!(c.get_or_classify(2, &miss, |_| Some(7)), None);
     }
 }

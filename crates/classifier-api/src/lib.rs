@@ -21,19 +21,17 @@
 //!   bench harness iterates.
 //! * [`reference_classify`] — the highest-priority-match oracle every
 //!   implementation is validated against.
-//! * [`cache`] — the shared epoch-stamped [`FlowCache`] (TinyLFU
-//!   admission) and [`cached`] — the [`CachedClassifier`] wrapper that
-//!   puts *any* engine behind it, so registry comparisons measure every
-//!   baseline through the identical cache.
+//! * [`cache`] — the shared epoch-stamped [`FlowCache`] (W-TinyLFU
+//!   admission). Its [`FlowCache::get_or_classify`] memo fronts *any*
+//!   engine's lookup, so the runtime, the bench comparisons and the
+//!   tests measure every engine through the identical cache.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod cached;
 
 pub use cache::{Admission, CacheStats, FlowCache, FxHasher, MAX_CACHED_FIELDS};
-pub use cached::CachedClassifier;
 
 use offilter::{FilterKind, FilterSet, Rule};
 use oflow::{HeaderValues, MatchFieldKind};
@@ -173,22 +171,6 @@ pub trait Classifier: Send + Sync {
     /// update). Rule replication (HiCuts), range expansion (TCAM) and
     /// completion entries (decomposition) all surface here.
     fn build_records(&self) -> usize;
-
-    /// Monotone rule-set generation counter for epoch-stamped caching:
-    /// any observable change to classification results must be preceded
-    /// by a change of this value. Flow caches ([`FlowCache`],
-    /// [`CachedClassifier`]) stamp entries with it, so one counter bump
-    /// invalidates every memoised result in O(1).
-    ///
-    /// The default returns 0 — correct for engines that are never
-    /// mutated behind the shared reference (classification is `&self`;
-    /// `&mut self` updates through [`DynamicClassifier`] on a *wrapped*
-    /// engine are covered by the wrapper's own bump counter). Engines
-    /// that track updates natively (the decomposition switch's epoch,
-    /// TSS's in-place inserts) override it.
-    fn generation(&self) -> u64 {
-        0
-    }
 }
 
 /// Forwarding impls: shared and owning smart pointers classify exactly
@@ -223,9 +205,6 @@ macro_rules! forward_classifier {
             }
             fn build_records(&self) -> usize {
                 (**self).build_records()
-            }
-            fn generation(&self) -> u64 {
-                (**self).generation()
             }
         }
     };
@@ -443,7 +422,6 @@ mod tests {
         assert_eq!(shared.par_classify_batch(&vec![h.clone(); 8], 3), vec![Some(5); 8]);
         assert_eq!(shared.memory_bits(), 1);
         assert_eq!(boxed.lookup_accesses(&h), 1);
-        assert_eq!(shared.generation(), 0);
         // An Arc'd trait object forwards too (the runtime's snapshots
         // over dynamic classifiers).
         let dynamic: Arc<dyn Classifier> = Arc::new(Fixed(None));

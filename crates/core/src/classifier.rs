@@ -90,13 +90,6 @@ impl Classifier for MtlSwitch {
         // action rows, as the build ledger accounted them.
         self.ledger.full_stats().records
     }
-
-    fn generation(&self) -> u64 {
-        // The switch's rule-set epoch: bumped by every add_rule /
-        // remove_rule / rebuild, so epoch-stamped caches (including
-        // `CachedClassifier`) invalidate in O(1).
-        self.epoch()
-    }
 }
 
 impl ClassifierBuilder for MtlSwitch {

@@ -24,7 +24,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::actions::{ActionRow, ActionTable};
-use crate::cache::FlowCache;
 use crate::config::{SwitchConfig, TableConfig};
 use crate::engine::{FieldEngine, FieldKey};
 use crate::index::IndexTable;
@@ -168,7 +167,7 @@ pub struct MtlSwitch {
     pub ledger: BuildLedger,
     /// Rule-set generation counter: bumped by every `add_rule` /
     /// `remove_rule` / rebuild, so epoch-stamped flow caches invalidate
-    /// in O(1) (see [`crate::cache::FlowCache`]).
+    /// in O(1) (see [`classifier_api::FlowCache`]).
     pub(crate) epoch: u64,
 }
 
@@ -256,102 +255,6 @@ impl MtlSwitch {
         let app = self.app(kind).expect("application not configured");
         let mut probes = 0;
         self.walk_tables(app, header, &mut probes, None).1
-    }
-
-    /// The three-stage fast path: flow cache → index → trie. Serves the
-    /// header from `cache` when it holds a current-epoch entry (skipping
-    /// the engine walks and index probes entirely); otherwise runs the
-    /// zero-allocation [`MtlSwitch::classify_row`] walk and memoises the
-    /// result. Cache entries are epoch-stamped, so results are always
-    /// identical to the uncached path — incremental updates invalidate
-    /// the whole cache by bumping [`MtlSwitch::epoch`].
-    ///
-    /// # Panics
-    /// Panics if the switch has no application of that kind.
-    #[must_use]
-    pub fn classify_cached(
-        &self,
-        kind: FilterKind,
-        header: &HeaderValues,
-        cache: &mut FlowCache,
-    ) -> Option<u32> {
-        if let Some(row) = cache.lookup(self.epoch, header) {
-            return row;
-        }
-        let row = self.classify_row(kind, header);
-        cache.insert(self.epoch, header, row);
-        row
-    }
-
-    /// Batched [`MtlSwitch::classify_cached`]: one cache lookup per
-    /// packet, with misses resolved by the zero-allocation per-packet
-    /// walk over the shared thread scratch. On skewed (elephant-flow)
-    /// traffic nearly every packet is a hit and the whole batch touches
-    /// neither tries nor index tables.
-    ///
-    /// # Panics
-    /// Panics if the switch has no application of that kind.
-    #[must_use]
-    pub fn classify_batch_rows_cached(
-        &self,
-        kind: FilterKind,
-        headers: &[HeaderValues],
-        cache: &mut FlowCache,
-    ) -> Vec<Option<u32>> {
-        let app = self.app(kind).expect("application not configured");
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            headers
-                .iter()
-                .map(|h| {
-                    if let Some(row) = cache.lookup(self.epoch, h) {
-                        return row;
-                    }
-                    let mut probes = 0;
-                    let row = self.walk_tables_with(scratch, app, h, &mut probes, None).1;
-                    cache.insert(self.epoch, h, row);
-                    row
-                })
-                .collect()
-        })
-    }
-
-    /// Cache-aware multi-core batch classification: shards `headers`
-    /// over one worker per element of `caches`, each worker serving its
-    /// shard through its **own** flow cache (no locks, and cache warmth
-    /// persists across calls since the caller owns the caches).
-    /// Semantically identical to [`MtlSwitch::classify_batch_rows`].
-    ///
-    /// # Panics
-    /// Panics if `caches` is empty, the switch has no application of that
-    /// kind, or a worker thread panics.
-    #[must_use]
-    pub fn par_classify_batch_cached(
-        &self,
-        kind: FilterKind,
-        headers: &[HeaderValues],
-        caches: &mut [FlowCache],
-    ) -> Vec<Option<u32>> {
-        assert!(!caches.is_empty(), "need at least one worker cache");
-        let threads = caches.len().min(headers.len().max(1));
-        if threads == 1 {
-            return self.classify_batch_rows_cached(kind, headers, &mut caches[0]);
-        }
-        let shard = headers.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(headers.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = headers
-                .chunks(shard)
-                .zip(caches.iter_mut())
-                .map(|(chunk, cache)| {
-                    scope.spawn(move || self.classify_batch_rows_cached(kind, chunk, cache))
-                })
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("classification worker panicked"));
-            }
-        });
-        out
     }
 
     /// As [`MtlSwitch::walk_tables_with`], borrowing the thread-local

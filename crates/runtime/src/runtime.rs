@@ -150,7 +150,8 @@ pub struct RuntimeConfig {
     /// In-flight batch jobs each shard's ring holds before the
     /// dispatcher applies the admission policy.
     pub ring_capacity: usize,
-    /// Per-shard flow-cache slots (0 disables caching).
+    /// Per-shard flow-cache slots (0 disables caching; at most
+    /// [`FlowCache::MAX_CAPACITY`], checked at construction).
     pub cache_capacity: usize,
     /// Admission policy of the per-shard caches.
     pub cache_admission: Admission,
@@ -181,6 +182,20 @@ pub struct RuntimeConfig {
     /// (chaos/fault-injection builds only).
     #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<Arc<FaultPlan>>,
+}
+
+impl RuntimeConfig {
+    /// Panics on a value no worker could start with. Checked on the
+    /// constructing thread: inside a worker the panic would be caught
+    /// and the supervisor would respawn the shard into it forever.
+    fn assert_valid(&self) {
+        assert!(
+            self.cache_capacity <= FlowCache::MAX_CAPACITY,
+            "RuntimeConfig::cache_capacity {} exceeds the flow cache's {}-slot ceiling",
+            self.cache_capacity,
+            FlowCache::MAX_CAPACITY
+        );
+    }
 }
 
 impl Default for RuntimeConfig {
@@ -1061,8 +1076,8 @@ impl<C: Classifier + 'static> RuntimeHandle<C> {
     /// failure). A logged removal of an id the table does not hold is a
     /// harmless no-op on replay.
     ///
-    /// # Panics
-    /// Panics if the runtime was built without a control-plane master.
+    /// A runtime built without a control-plane master ([`Runtime::new`])
+    /// refuses every removal: `None`, with nothing logged or published.
     pub fn remove_rule(&self, rule_id: u32) -> Option<(UpdateReport, u64)>
     where
         C: DynamicClassifier + Clone,
@@ -1078,7 +1093,7 @@ impl<C: Classifier + 'static> RuntimeHandle<C> {
         C: DynamicClassifier + Clone,
     {
         let mut master = self.shared.lock_master();
-        let table = master.as_mut().expect("runtime has no control-plane master");
+        let table = master.as_mut()?;
         self.shared.wal_append(&LoggedOp::Remove(rule_id)).ok()?;
         let report = table.remove_rule(rule_id)?;
         let version = self.shared.publish_table(table.clone());
@@ -1247,6 +1262,11 @@ impl<C: Classifier + 'static> Runtime<C> {
     /// control-plane master: [`RuntimeHandle::add_rule`] is unavailable,
     /// table replacement goes through [`SnapshotCell`]-level swaps of a
     /// runtime built [`Runtime::with_control`]).
+    ///
+    /// # Panics
+    /// Panics if `config.cache_capacity` exceeds
+    /// [`FlowCache::MAX_CAPACITY`]; the check runs here, before any
+    /// worker starts.
     #[must_use]
     pub fn new(classifier: C, config: &RuntimeConfig) -> Self {
         Self::build(classifier, None, config, None)
@@ -1256,6 +1276,11 @@ impl<C: Classifier + 'static> Runtime<C> {
     /// into the published snapshot, the original becomes the mutable
     /// master behind [`RuntimeHandle::add_rule`] /
     /// [`RuntimeHandle::remove_rule`] / [`RuntimeHandle::swap_table`].
+    ///
+    /// # Panics
+    /// Panics if `config.cache_capacity` exceeds
+    /// [`FlowCache::MAX_CAPACITY`]; the check runs here, before any
+    /// worker starts.
     #[must_use]
     pub fn with_control(classifier: C, config: &RuntimeConfig) -> Self
     where
@@ -1284,6 +1309,11 @@ impl<C: Classifier + 'static> Runtime<C> {
     /// [`PersistError`] when the store cannot be opened, a recovered
     /// image does not decode, or the initial checkpoint of `fallback`
     /// cannot be written.
+    ///
+    /// # Panics
+    /// Panics if `config.cache_capacity` exceeds
+    /// [`FlowCache::MAX_CAPACITY`]; the check runs here, before the
+    /// store is opened.
     pub fn with_durability(
         fallback: C,
         config: &RuntimeConfig,
@@ -1292,6 +1322,7 @@ impl<C: Classifier + 'static> Runtime<C> {
     where
         C: DynamicClassifier + Persistent + Clone,
     {
+        config.assert_valid();
         let mut store = match &durability.storage {
             Some(storage) => Store::open_with(&durability.dir, Arc::clone(storage))?,
             None => Store::open(&durability.dir)?,
@@ -1418,6 +1449,7 @@ impl<C: Classifier + 'static> Runtime<C> {
         config: &RuntimeConfig,
         durable: Option<DurableParts<C>>,
     ) -> Self {
+        config.assert_valid();
         let shards = config.shards.max(1);
         let cell = Arc::new(SnapshotCell::new(classifier));
         let poison_recoveries = Arc::new(AtomicU64::new(0));
@@ -1771,11 +1803,10 @@ fn worker_loop<C: Classifier + 'static>(
         let started = Instant::now();
         // The cache epoch is the snapshot's publish version, alone: it
         // is unique and strictly monotone per table image, so a cached
-        // row can never be served across a publish. (Folding the
-        // table's own `generation()` in would *break* this: version
-        // and generation move in lockstep under add/remove, and a
-        // `swap_table` to a lower-generation table could then reproduce
-        // an old epoch and revive that epoch's stale entries.)
+        // row can never be served across a publish. (Folding any
+        // per-table counter in would *break* this: a `swap_table` to a
+        // table with a lower counter could then reproduce an old epoch
+        // and revive that epoch's stale entries.)
         let epoch = snap.version;
         let Job { headers, idx, shard: shard_id, submitted, reply, .. } = job;
         let mut rows: Vec<Option<u32>> = Vec::with_capacity(idx.len());
@@ -1786,15 +1817,7 @@ fn worker_loop<C: Classifier + 'static>(
             Some(cache) => {
                 for &i in &idx {
                     let header = &headers[i as usize];
-                    let row = match cache.lookup(epoch, header) {
-                        Some(row) => row,
-                        None => {
-                            let row = snap.value.classify(header);
-                            cache.insert(epoch, header, row);
-                            row
-                        }
-                    };
-                    rows.push(row);
+                    rows.push(cache.get_or_classify(epoch, header, |h| snap.value.classify(h)));
                 }
             }
             None => {
@@ -2020,52 +2043,25 @@ mod tests {
     }
 
     /// Regression: the cache epoch must be the publish version alone.
-    /// Folding the table's `generation()` in lets `swap_table` to a
-    /// lower-generation table reproduce an earlier epoch and serve that
-    /// epoch's stale cached rows.
+    /// An epoch that folded in a per-table counter (version 1 + counter
+    /// 2 before the swap, version 2 + counter 1 after it) would collide
+    /// across `swap_table` and serve the old table's cached rows.
     #[test]
     fn swap_table_to_lower_generation_does_not_revive_stale_cache() {
-        /// A classifier with an arbitrary caller-chosen generation.
-        #[derive(Clone)]
-        struct Gen(Vec<Rule>, u64);
-        impl Classifier for Gen {
-            fn name(&self) -> &str {
-                "gen"
-            }
-            fn classify(&self, header: &HeaderValues) -> Option<u32> {
-                reference_classify(&self.0, header)
-            }
-            fn memory_bits(&self) -> u64 {
-                1
-            }
-            fn lookup_accesses(&self, _header: &HeaderValues) -> usize {
-                1
-            }
-            fn build_records(&self) -> usize {
-                0
-            }
-            fn generation(&self) -> u64 {
-                self.1
-            }
-        }
-
         let h = HeaderValues::new()
             .with(MatchFieldKind::InPort, 3)
             .with(MatchFieldKind::Ipv4Dst, 0x0102_0304u128);
-        // Version 1, generation 2: under a version+generation epoch this
-        // caches at epoch 3.
-        let rt = Runtime::with_control(Gen(vec![route(0, 3, 0, 0, 1)], 2), &quick_config(1));
+        let rt = Runtime::with_control(Scan(vec![route(0, 3, 0, 0, 1)]), &quick_config(1));
         assert_eq!(rt.classify_batch(std::slice::from_ref(&h)).rows, vec![Some(0)]);
         assert_eq!(rt.classify_batch(std::slice::from_ref(&h)).rows, vec![Some(0)], "warm hit");
-        // Version 2, generation 1 — the old epoch arithmetic collides
-        // (2 + 1 == 1 + 2) and would serve the stale Some(0) row; the
-        // new table answers None for this flow.
-        let v = rt.swap_table(Gen(Vec::new(), 1));
+        // The new table answers None for this flow; the warm Some(0) row
+        // must not survive the swap.
+        let v = rt.swap_table(Scan(Vec::new()));
         assert_eq!(v, 2);
         assert_eq!(
             rt.classify_batch(std::slice::from_ref(&h)).rows,
             vec![None],
-            "swap_table must invalidate every cached row, whatever the generations"
+            "swap_table must invalidate every cached row"
         );
     }
 
@@ -2074,6 +2070,21 @@ mod tests {
         let rt = Runtime::new(Scan(rules()), &quick_config(1));
         let err = rt.add_rule(route(9, 1, 0, 0, 9)).unwrap_err();
         assert!(matches!(err, BuildError::InvalidConfig { .. }), "{err:?}");
+        assert!(rt.remove_rule(0).is_none(), "no master: the removal is refused");
+        // Nothing was published: the snapshot still holds rule 0.
+        assert_eq!(rt.version(), 1);
+        let h = HeaderValues::new()
+            .with(MatchFieldKind::InPort, 1)
+            .with(MatchFieldKind::Ipv4Dst, 0x0A00_0001u128);
+        assert_eq!(rt.classify_batch(std::slice::from_ref(&h)).rows, vec![Some(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache_capacity")]
+    fn oversized_cache_capacity_is_rejected_before_any_worker_spawns() {
+        let config =
+            RuntimeConfig { cache_capacity: FlowCache::MAX_CAPACITY + 1, ..quick_config(2) };
+        let _ = Runtime::new(Scan(rules()), &config);
     }
 
     #[test]

@@ -9,10 +9,13 @@
 //! bug class (serving stale rows) an epoch mistake would produce. Both
 //! admission policies are driven: TinyLFU (the default — its rejections
 //! and sketch-guided evictions must never change *what* is served, only
-//! *whether* it is memoised) and blind replacement.
+//! *whether* it is memoised) and blind replacement. Every cached lookup
+//! goes through `FlowCache::get_or_classify`, the memo the runtime's
+//! shard workers use; the last test drives a baseline engine through
+//! the runtime itself.
 
-use classifier_api::reference_classify;
-use mtl_core::{FlowCache, MtlSwitch, SwitchConfig};
+use classifier_api::{reference_classify, FlowCache};
+use mtl_core::{MtlSwitch, SwitchConfig};
 use offilter::{FilterKind, FilterSet, Rule, RuleAction};
 use oflow::{FlowMatch, HeaderValues, MatchFieldKind};
 use proptest::prelude::*;
@@ -78,8 +81,14 @@ fn probes() -> Vec<HeaderValues> {
     out
 }
 
-/// Asserts the three-way agreement on every probe header, through the
-/// single-packet and batch cached surfaces.
+/// The switch's routing row for `h`, served through `cache` under the
+/// switch's current epoch.
+fn cached_row(sw: &MtlSwitch, cache: &mut FlowCache, h: &HeaderValues) -> Option<u32> {
+    cache.get_or_classify(sw.epoch(), h, |h| sw.classify_row(FilterKind::Routing, h))
+}
+
+/// Asserts the three-way agreement on every probe header: cached row ==
+/// uncached row, whose rule id == the oracle's.
 fn assert_consistent(
     sw: &MtlSwitch,
     rules: &[Rule],
@@ -90,16 +99,15 @@ fn assert_consistent(
     let app = sw.app(FilterKind::Routing).expect("routing app");
     for h in headers {
         let uncached_row = sw.classify_row(FilterKind::Routing, h);
-        let cached_row = sw.classify_cached(FilterKind::Routing, h, cache);
-        assert_eq!(cached_row, uncached_row, "{ctx}: cached row differs on {h}");
+        assert_eq!(cached_row(sw, cache, h), uncached_row, "{ctx}: cached row differs on {h}");
         let got_id = uncached_row.and_then(|row| app.rule_id_of_row(row));
         let want_id = reference_classify(rules, h);
         assert_eq!(got_id, want_id, "{ctx}: oracle disagrees on {h}");
     }
-    // The batch surface must agree element-wise too (and is served
-    // almost entirely from the now-warm cache).
+    // The engine-major batch path must agree element-wise with a second
+    // cached pass (served almost entirely from the now-warm cache).
     let uncached = sw.classify_batch_rows(FilterKind::Routing, headers);
-    let cached = sw.classify_batch_rows_cached(FilterKind::Routing, headers, cache);
+    let cached: Vec<Option<u32>> = headers.iter().map(|h| cached_row(sw, cache, h)).collect();
     assert_eq!(cached, uncached, "{ctx}: cached batch differs");
 }
 
@@ -180,66 +188,87 @@ fn epoch_advances_on_every_mutation() {
     assert!(e2 > e1, "remove_rule must bump the epoch");
 }
 
-/// A baseline engine behind `CachedClassifier` (the unified cache-aware
-/// surface) stays oracle-consistent across dynamic updates forwarded
-/// through the wrapper — TSS bumps its generation on in-place inserts,
-/// and the wrapper's bump counter covers the rest.
+/// A baseline engine served by the sharded runtime with its per-shard
+/// flow caches on. A control thread interleaves `add_rule` and
+/// `remove_rule` while traffic flows, and every served row must equal
+/// the oracle over the live rules at the version that served it — a
+/// cached row surviving a publish would show up here.
 #[test]
 fn cached_tss_stays_consistent_under_updates() {
-    use classifier_api::{CachedClassifier, Classifier, ClassifierBuilder, DynamicClassifier};
+    use classifier_api::ClassifierBuilder;
+    use mtl_runtime::{Runtime, RuntimeConfig};
     use ofbaseline::tss::TupleSpaceSearch;
+    use std::sync::mpsc;
+
     let pool = rule_pool();
     let seed: Vec<Rule> = pool[..8].to_vec();
     let set = FilterSet::preserving_ids("fc", FilterKind::Routing, seed.clone());
-    let mut cached = CachedClassifier::new(TupleSpaceSearch::try_build(&set).unwrap(), 64);
-    let mut live = seed;
-    let headers = probes();
-    let check = |cached: &CachedClassifier<TupleSpaceSearch>, live: &[Rule], ctx: &str| {
-        // Twice: the second pass is served from the (now warm) cache.
-        for pass in 0..2 {
-            for h in &headers {
-                assert_eq!(
-                    cached.classify(h),
-                    reference_classify(live, h),
-                    "{ctx} pass {pass}: {h}"
-                );
+    let config = RuntimeConfig {
+        shards: 2,
+        ring_capacity: 8,
+        cache_capacity: 64,
+        pin_workers: false,
+        ..RuntimeConfig::default()
+    };
+    let rt = Runtime::with_control(TupleSpaceSearch::try_build(&set).unwrap(), &config);
+    // Version → live rules at that version.
+    let mut log = vec![(rt.version(), seed.clone())];
+    // Every probe three times per batch: repeats are served from cache.
+    let headers: Vec<HeaderValues> =
+        probes().iter().cycle().take(3 * probes().len()).cloned().collect();
+    let batches = std::thread::scope(|scope| {
+        // The traffic thread reports each served batch and stops once
+        // the receiver is gone: at the end, or when a check below fails.
+        let (served_tx, served_rx) = mpsc::channel();
+        let (rt, headers) = (&rt, &headers);
+        let traffic = scope.spawn(move || {
+            let mut served = Vec::new();
+            loop {
+                served.push(rt.classify_batch(headers));
+                if served_tx.send(()).is_err() {
+                    return served;
+                }
+            }
+        });
+        // After each update, wait for two more served batches: the second
+        // started after the first finished, so after the update.
+        let traffic_caught_up = || {
+            while served_rx.try_recv().is_ok() {}
+            for _ in 0..2 {
+                served_rx.recv().expect("traffic thread is running");
+            }
+        };
+        traffic_caught_up();
+        let mut live = seed;
+        for (step, rule) in pool[8..].iter().enumerate() {
+            live.push(rule.clone());
+            let (_, v) = rt.add_rule(rule.clone()).expect("tss insert works");
+            log.push((v, live.clone()));
+            traffic_caught_up();
+            if step % 2 == 1 {
+                let victim = live[(3 * step) % live.len()].id;
+                live.retain(|r| r.id != victim);
+                let (_, v) = rt.remove_rule(victim).expect("victim is live");
+                log.push((v, live.clone()));
+                traffic_caught_up();
             }
         }
+        drop(served_rx);
+        traffic.join().expect("traffic thread")
+    });
+    let rules_at = |version: u64| {
+        &log.iter().find(|(v, _)| *v == version).unwrap_or_else(|| panic!("version {version}")).1
     };
-    check(&cached, &live, "seed");
-    cached.insert_rule(pool[10].clone()).expect("tss insert works");
-    live.push(pool[10].clone());
-    check(&cached, &live, "after insert");
-    let victim = live[2].id;
-    cached.remove_rule(victim).expect("rule exists");
-    live.retain(|r| r.id != victim);
-    check(&cached, &live, "after remove");
-    assert!(cached.stats().hits > 0, "warm passes must be served from the cache");
-}
-
-#[test]
-fn cache_aware_parallel_batch_agrees() {
-    let pool = rule_pool();
-    let set = FilterSet::preserving_ids("fc", FilterKind::Routing, pool.clone());
-    let config = SwitchConfig::single_app(FilterKind::Routing, 0);
-    let sw = MtlSwitch::build(&config, &[&set]);
-    // A trace with repeats (cache hits) across shard boundaries.
-    let headers: Vec<HeaderValues> =
-        (0..500).map(|i| probes()[i % probes().len()].clone()).collect();
-    let want = sw.classify_batch_rows(FilterKind::Routing, &headers);
-    for workers in [1usize, 2, 3, 7] {
-        let mut caches: Vec<FlowCache> = (0..workers).map(|_| FlowCache::new(64)).collect();
-        let got = sw.par_classify_batch_cached(FilterKind::Routing, &headers, &mut caches);
-        assert_eq!(got, want, "workers = {workers}");
-        // Re-running with warm caches stays identical.
-        let again = sw.par_classify_batch_cached(FilterKind::Routing, &headers, &mut caches);
-        assert_eq!(again, want, "warm workers = {workers}");
-        assert!(
-            caches.iter().map(FlowCache::hits).sum::<u64>() > 0,
-            "warm rerun must serve hits (workers = {workers})"
-        );
+    for (b, batch) in batches.iter().enumerate() {
+        for (k, h) in headers.iter().enumerate() {
+            let version = batch.versions[k];
+            assert_eq!(
+                batch.rows[k],
+                reference_classify(rules_at(version), h),
+                "batch {b}, {h} served at version {version}"
+            );
+        }
     }
-    assert!(sw
-        .par_classify_batch_cached(FilterKind::Routing, &[], &mut [FlowCache::new(16)])
-        .is_empty());
+    let hits: u64 = rt.telemetry().per_shard.iter().map(|s| s.cache.hits).sum();
+    assert!(hits > 0, "repeated probes must be served from the shard caches");
 }
