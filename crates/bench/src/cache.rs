@@ -37,9 +37,10 @@
 
 use crate::alloc_probe;
 use crate::data::Workloads;
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
 use crate::registry;
 use classifier_api::{CacheStats, Classifier, ClassifierBuilder, FlowCache};
+use minijson::{obj, Json};
 use mtl_core::MtlSwitch;
 use ofbaseline::hicuts::HiCutsTree;
 use ofbaseline::tss::TupleSpaceSearch;

@@ -16,8 +16,9 @@
 //! quiesced classify sweep must agree with `reference_classify` over
 //! the exact post-replay rule set.
 
-use crate::output::{arr, obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
 use classifier_api::{reference_classify, Classifier, ClassifierBuilder, DynamicClassifier};
+use minijson::{arr, obj, Json};
 use mtl_core::MtlSwitch;
 use mtl_persist::{CheckpointMode, Persistent, Store, WalOp};
 use offilter::synth::{generate_routing, RoutingTargets};

@@ -36,8 +36,9 @@
 //!
 //! [`FaultFs`]: mtl_persist::FaultFs
 
-use crate::output::{obj, write_json, Json, ToJson};
+use crate::output::{write_json, ToJson};
 use classifier_api::{ClassifierBuilder, DynamicClassifier};
+use minijson::{obj, Json};
 use mtl_core::MtlSwitch;
 use mtl_persist::{Persistent, Store, WalOp, WalRecord};
 use mtl_runtime::trace::{decode_flight_log, EventKind};

@@ -9,7 +9,8 @@
 //! the coza/b, soza/b higher tries.
 
 use crate::data::Workloads;
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
+use minijson::{obj, Json};
 use ofalgo::PartitionedTrie;
 use offilter::{FilterKind, FilterSet};
 use oflow::MatchFieldKind;

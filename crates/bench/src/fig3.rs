@@ -6,7 +6,8 @@
 
 use crate::data::Workloads;
 use crate::fig2::tries_for;
-use crate::output::{arr, obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
+use minijson::{arr, obj, Json};
 
 /// Per-level memory of one router's chosen trie.
 #[derive(Debug, Clone)]

@@ -9,7 +9,8 @@
 use crate::data::Workloads;
 use crate::fig2::tries_for;
 use crate::fig3::{level_row, Row};
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
+use minijson::{obj, Json};
 use offilter::paper_data::ROUTING_EXCEPTIONS;
 
 /// The Fig. 4 results.

@@ -8,7 +8,8 @@
 //! Paper anchor: "achieving a 56.92% fewer CPU clock cycles on average".
 
 use crate::data::Workloads;
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
+use minijson::{obj, Json};
 use mtl_core::{MtlSwitch, SwitchConfig};
 
 /// One router's update-cost comparison.

@@ -12,7 +12,8 @@
 //! for every router pair.
 
 use crate::data::Workloads;
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
+use minijson::{obj, Json};
 use mtl_core::{MtlSwitch, SwitchConfig, SwitchMemoryReport};
 
 /// One switch build's memory summary.

@@ -24,8 +24,9 @@
 //! defensible.
 
 use crate::data::Workloads;
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
 use classifier_api::{Classifier, ClassifierBuilder};
+use minijson::{obj, Json};
 use mtl_core::MtlSwitch;
 use mtl_runtime::{Runtime, RuntimeConfig, TraceTelemetry};
 use offilter::synth::{generate_trace, TraceConfig};

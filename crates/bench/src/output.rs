@@ -1,80 +1,13 @@
 //! Experiment output: aligned text tables plus JSON files.
 //!
-//! The JSON layer is a small self-contained model ([`Json`] + [`ToJson`])
-//! rather than serde: the build environment is offline, and the
-//! experiments only ever serialize — a value tree plus a pretty-printer
-//! covers everything they need.
+//! Experiments describe their results as [`minijson::Json`] values
+//! (through [`ToJson`]); [`write_json`] renders them with the shared
+//! two-space pretty-printer into `target/repro/`, the same writer that
+//! produced the committed `BENCH_*.json` baselines.
 
+use minijson::Json;
 use std::fs;
 use std::path::PathBuf;
-
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Integer (rendered without a decimal point).
-    Int(i128),
-    /// Float (non-finite values render as `null`).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object (insertion-ordered).
-    Obj(Vec<(&'static str, Json)>),
-}
-
-macro_rules! impl_json_from_int {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Json {
-            fn from(v: $t) -> Json { Json::Int(v as i128) }
-        }
-    )*};
-}
-impl_json_from_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_owned())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-
-impl<T: Into<Json>> From<Vec<T>> for Json {
-    fn from(v: Vec<T>) -> Json {
-        Json::Arr(v.into_iter().map(Into::into).collect())
-    }
-}
-
-/// Builds an object from `(key, value)` pairs.
-pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().collect())
-}
-
-/// Builds an array from values.
-pub fn arr(values: impl IntoIterator<Item = Json>) -> Json {
-    Json::Arr(values.into_iter().collect())
-}
 
 /// Types an experiment can write as JSON.
 pub trait ToJson {
@@ -97,86 +30,6 @@ impl<T: ToJson> ToJson for [T] {
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         self.as_slice().to_json()
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl Json {
-    /// Pretty-prints with two-space indentation.
-    #[must_use]
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, 0);
-        out
-    }
-
-    fn render(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth + 1);
-        let close_pad = "  ".repeat(depth);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => escape_into(s, out),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    item.render(out, depth + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&close_pad);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    out.push_str(&pad);
-                    escape_into(key, out);
-                    out.push_str(": ");
-                    value.render(out, depth + 1);
-                    if i + 1 < pairs.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&close_pad);
-                out.push('}');
-            }
-        }
     }
 }
 
@@ -242,6 +95,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minijson::obj;
 
     #[test]
     fn table_alignment() {
@@ -255,27 +109,6 @@ mod tests {
         assert!(lines[3].ends_with("12345"));
         // All rows equal width.
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn json_renders_all_shapes() {
-        let v = obj([
-            ("x", 7u32.into()),
-            ("name", "a \"quoted\" name".into()),
-            ("share", 0.5.into()),
-            ("bad", f64::NAN.into()),
-            ("flag", true.into()),
-            ("none", Json::Null),
-            ("list", arr([1u32.into(), 2u32.into()])),
-            ("empty", arr([])),
-        ]);
-        let s = v.render_pretty();
-        assert!(s.contains("\"x\": 7"), "{s}");
-        assert!(s.contains("\\\"quoted\\\""), "{s}");
-        assert!(s.contains("\"share\": 0.5"), "{s}");
-        assert!(s.contains("\"bad\": null"), "{s}");
-        assert!(s.contains("\"flag\": true"), "{s}");
-        assert!(s.contains("\"empty\": []"), "{s}");
     }
 
     #[test]

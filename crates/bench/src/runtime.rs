@@ -29,8 +29,9 @@
 
 use crate::alloc_probe;
 use crate::data::Workloads;
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
 use classifier_api::{reference_classify, Classifier, ClassifierBuilder};
+use minijson::{obj, Json};
 use mtl_core::MtlSwitch;
 use mtl_runtime::{shard_of, Runtime, RuntimeConfig};
 use offilter::synth::{generate_scan_trace, generate_trace, generate_trace_where, TraceConfig};
@@ -143,9 +144,9 @@ pub struct RuntimeExperiment {
     /// Adversarial-traffic degradation at the widest shard count:
     /// `zipf` baseline, then `rss-pinned` and `scan`.
     pub degradation: Vec<DegradationPoint>,
-    /// The 4-shard (or widest) point's telemetry JSON block, verbatim
-    /// from the runtime.
-    pub telemetry_json: String,
+    /// The widest point's telemetry document, embedded as the runtime
+    /// built it.
+    pub telemetry: Json,
 }
 
 impl ToJson for RuntimeExperiment {
@@ -158,7 +159,7 @@ impl ToJson for RuntimeExperiment {
             ("scaling_asserted", self.scaling_asserted.into()),
             ("points", self.points.to_json()),
             ("degradation", self.degradation.to_json()),
-            ("telemetry", Json::Str(self.telemetry_json.clone())),
+            ("telemetry", self.telemetry.clone()),
         ])
     }
 }
@@ -492,7 +493,7 @@ pub fn run(
 
     let widest = shard_counts.iter().copied().max().unwrap_or(1);
     let mut points: Vec<ShardPoint> = Vec::with_capacity(shard_counts.len());
-    let mut telemetry_json = String::new();
+    let mut telemetry = Json::Null;
     for &shards in shard_counts {
         let baseline = points.first().map(|p| p.packets_per_sec);
         let point = shard_point(set, &trace, shards, batches, baseline);
@@ -502,7 +503,7 @@ pub fn run(
             let switch = <MtlSwitch as ClassifierBuilder>::try_build(set).expect("builds");
             let rt = Runtime::new(switch, &RuntimeConfig::with_shards(shards));
             let _ = rt.classify_rows(&trace);
-            telemetry_json = rt.telemetry().to_json();
+            telemetry = rt.telemetry().to_json();
         }
         points.push(point);
     }
@@ -528,7 +529,7 @@ pub fn run(
         scaling_asserted,
         points,
         degradation,
-        telemetry_json,
+        telemetry,
     }
 }
 
@@ -632,7 +633,7 @@ mod tests {
             assert!(p.packets_per_sec > 0.0, "{} shards", p.shards);
             assert!(p.publishes > 0, "churn must actually publish ({} shards)", p.shards);
         }
-        assert!(e.telemetry_json.contains("\"per_shard\""));
+        assert!(e.telemetry.get("per_shard").and_then(Json::as_arr).is_some());
         let profiles: Vec<&str> = e.degradation.iter().map(|d| d.profile.as_str()).collect();
         assert_eq!(profiles, ["zipf", "rss-pinned", "scan"]);
         for d in &e.degradation {

@@ -21,8 +21,9 @@
 //! reopened and `decode(newest valid snapshot) + replay(WAL tail)` must
 //! reproduce the live master byte-for-byte.
 
-use crate::output::{arr, obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
 use classifier_api::{ClassifierBuilder, DynamicClassifier};
+use minijson::{arr, obj, Json};
 use mtl_core::MtlSwitch;
 use mtl_persist::{Persistent, Store, WalOp};
 use mtl_runtime::{DurabilityConfig, Runtime, RuntimeConfig};

@@ -18,8 +18,9 @@
 //! `Box<dyn Classifier>` entries — one code path for every engine.
 
 use crate::data::Workloads;
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
 use crate::registry::{implementation_of, standard_registry};
+use minijson::{obj, Json};
 use oflow::{HeaderValues, MatchFieldKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

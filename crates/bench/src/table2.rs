@@ -4,7 +4,8 @@
 //! experiment verifies the implementation agrees with the paper's listing
 //! row by row.
 
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
+use minijson::{obj, Json};
 use oflow::MatchFieldKind;
 
 /// One Table II row.

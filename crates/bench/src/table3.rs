@@ -6,7 +6,8 @@
 //! the paper's distributional shape.
 
 use crate::data::Workloads;
-use crate::output::{arr, obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
+use minijson::{arr, obj, Json};
 use offilter::paper_data::mac_stats;
 use offilter::survey_mac;
 

@@ -5,7 +5,8 @@
 //! the *higher* 16-bit IP partition than in the lower one.
 
 use crate::data::Workloads;
-use crate::output::{arr, obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
+use minijson::{arr, obj, Json};
 use offilter::paper_data::{routing_stats, ROUTING_EXCEPTIONS};
 use offilter::survey_routing;
 

@@ -20,9 +20,10 @@
 
 use crate::alloc_probe;
 use crate::data::Workloads;
-use crate::output::{obj, render_table, write_json, Json, ToJson};
+use crate::output::{render_table, write_json, ToJson};
 use crate::registry::standard_registry;
 use crate::table1::probe_trace;
+use minijson::{obj, Json};
 use std::time::Instant;
 
 /// One point of the thread-scaling sweep.

@@ -10,8 +10,9 @@
 //! sampled counter tracks — instead of reconstructing it from logs.
 
 use crate::data::Workloads;
-use crate::output::repro_dir;
+use crate::output::write_json;
 use classifier_api::ClassifierBuilder;
+use minijson::Json;
 use mtl_core::MtlSwitch;
 use mtl_runtime::trace::{chrome_trace, Event, EventKind, MetricPoint};
 use mtl_runtime::{Runtime, RuntimeConfig};
@@ -39,13 +40,13 @@ fn churn_rule(round: u32) -> Rule {
 }
 
 /// Drives the runtime and returns the drained timeline, the sampled
-/// series, and the rendered Chrome trace document.
+/// series, and the Chrome trace document built from them.
 #[must_use]
 pub fn capture(
     w: &Workloads,
     batches: usize,
     churn_rounds: u32,
-) -> (Vec<Event>, Vec<MetricPoint>, String) {
+) -> (Vec<Event>, Vec<MetricPoint>, Json) {
     let set = w.routing_of("bbra").expect("routing set exists");
     let switch = <MtlSwitch as ClassifierBuilder>::try_build(set).expect("switch builds");
     let cfg = TraceConfig {
@@ -81,32 +82,23 @@ pub fn capture(
 /// Entry point for `repro -- trace-dump`.
 pub fn report(w: &Workloads) {
     let (events, samples, doc) = capture(w, 32, 8);
-    let dir = repro_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("trace.json");
-    match std::fs::write(&path, &doc) {
-        Ok(()) => {
-            let spans = events.iter().filter(|e| e.kind == EventKind::SpanEnd).count();
-            println!(
-                "== trace-dump: {} events ({} control-plane spans), {} metric samples -> {} ==",
-                events.len(),
-                spans,
-                samples.len(),
-                path.display()
-            );
-            println!("load it in chrome://tracing or https://ui.perfetto.dev");
-        }
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    if let Some(path) = write_json("trace", &doc) {
+        let spans = events.iter().filter(|e| e.kind == EventKind::SpanEnd).count();
+        println!(
+            "== trace-dump: {} events ({} control-plane spans), {} metric samples -> {} ==",
+            events.len(),
+            spans,
+            samples.len(),
+            path.display()
+        );
+        println!("load it in chrome://tracing or https://ui.perfetto.dev");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minijson::{parse_json, Json};
+    use minijson::parse_json;
 
     /// The acceptance check: a live capture renders as a structurally
     /// valid Chrome trace — parseable JSON, a `traceEvents` array where
@@ -123,7 +115,7 @@ mod tests {
             "the dataplane left serves on the timeline"
         );
 
-        let parsed = parse_json(&doc).expect("chrome trace parses as JSON");
+        let parsed = parse_json(&doc.render_pretty()).expect("chrome trace parses as JSON");
         let entries = parsed.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
         assert!(!entries.is_empty());
         let mut begins = 0i64;

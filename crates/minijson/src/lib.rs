@@ -1,27 +1,91 @@
-//! # minijson — the workspace's shared dependency-free JSON reader
+//! # minijson — the workspace's one JSON module: value, reader, writer
 //!
-//! A minimal recursive-descent parser over the JSON subset the repo's
-//! own tooling emits (bench artifacts, runtime telemetry, trace
-//! exports). It is strict — unknown syntax is an error, not a guess —
-//! and deliberately tiny: objects keep insertion order, numbers are
-//! `f64` (every value our writers produce fits without loss of
-//! meaning).
+//! Every JSON document the repo produces or consumes goes through the
+//! [`Json`] value defined here: the `repro` experiment files and the
+//! committed `BENCH_*.json` baselines, the runtime's telemetry, and
+//! the flight recorder's Chrome trace export. Producers build a value
+//! tree with the `From` impls plus [`obj`]/[`arr`] and render it with
+//! [`Json::render_pretty`] (two-space indent) or
+//! [`Json::render_compact`]; consumers read it back with
+//! [`parse_json`], a strict recursive-descent parser — unknown syntax
+//! is an error, not a guess.
 //!
-//! Grown out of `xtask`'s bench-report tooling and promoted to a crate
-//! so telemetry/trace schema tests can *parse* the documents they
-//! validate instead of grepping for needles.
+//! Objects keep insertion order. Integers are exact: a literal without
+//! `.`, `e` or `E` parses as [`Json::Int`] (an `i128`, so every `u64`
+//! counter survives), anything else as [`Json::Num`]. A float with an
+//! integral value renders without a decimal point and so re-parses as
+//! an `Int`; [`Json::as_f64`] reads either.
 
 #![forbid(unsafe_code)]
 
-/// A parsed JSON value. Objects keep insertion order; numbers are f64.
+use std::fmt::Write as _;
+
+/// A JSON value. Objects keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
+    /// `null`.
     Null,
+    /// `true` / `false`.
     Bool(bool),
+    /// Integer (rendered without a decimal point).
+    Int(i128),
+    /// Float (non-finite values render as `null`).
     Num(f64),
+    /// String.
     Str(String),
+    /// Array.
     Arr(Vec<Json>),
+    /// Object (insertion-ordered).
     Obj(Vec<(String, Json)>),
+}
+
+macro_rules! impl_json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json { Json::Int(v as i128) }
+        }
+    )*};
+}
+impl_json_from_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, i128);
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(v: Vec<T>) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Builds an object from `(key, value)` pairs.
+pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// Builds an array from values.
+pub fn arr(values: impl IntoIterator<Item = Json>) -> Json {
+    Json::Arr(values.into_iter().collect())
 }
 
 impl Json {
@@ -34,9 +98,11 @@ impl Json {
         }
     }
 
+    /// Numeric value of an `Int` or a `Num`.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(i) => Some(*i as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -82,6 +148,101 @@ impl Json {
     pub fn num(&self, key: &str) -> Result<f64, String> {
         self.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number `{key}`"))
     }
+
+    /// Pretty-prints with two-space indentation.
+    #[must_use]
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, Some(0));
+        out
+    }
+
+    /// Renders on one line with no whitespace between tokens.
+    #[must_use]
+    pub fn render_compact(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, None);
+        out
+    }
+
+    /// `depth` is the current indent level, or `None` for compact output.
+    fn render(&self, out: &mut String, depth: Option<usize>) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => escape_into(s, out),
+            Json::Arr(items) => {
+                render_seq(out, depth, ['[', ']'], items.iter().map(|v| (None, v)));
+            }
+            Json::Obj(pairs) => {
+                render_seq(
+                    out,
+                    depth,
+                    ['{', '}'],
+                    pairs.iter().map(|(k, v)| (Some(k.as_str()), v)),
+                );
+            }
+        }
+    }
+}
+
+/// Renders an array (keys `None`) or object body between `brackets`.
+fn render_seq<'a>(
+    out: &mut String,
+    depth: Option<usize>,
+    [open, close]: [char; 2],
+    items: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    out.push(open);
+    if items.len() == 0 {
+        out.push(close);
+        return;
+    }
+    let inner = depth.map(|d| d + 1);
+    for (i, (key, value)) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(d) = inner {
+            out.push('\n');
+            out.push_str(&"  ".repeat(d));
+        }
+        if let Some(key) = key {
+            escape_into(key, out);
+            out.push_str(if inner.is_some() { ": " } else { ":" });
+        }
+        value.render(out, inner);
+    }
+    if let Some(d) = depth {
+        out.push('\n');
+        out.push_str(&"  ".repeat(d));
+    }
+    out.push(close);
+}
+
+fn escape_into(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses a complete JSON document; trailing garbage is an error.
@@ -178,12 +339,19 @@ fn parse_literal(b: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<J
     }
 }
 
+/// Integer literals (no `.`, `e` or `E`) parse exactly as `Int`; an
+/// integer too wide for `i128`, and every other literal, as `Num`.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).expect("ASCII slice");
+    if !text.contains(['.', 'e', 'E']) {
+        if let Ok(i) = text.parse::<i128>() {
+            return Ok(Json::Int(i));
+        }
+    }
     text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number `{text}`: {e}"))
 }
 
@@ -258,8 +426,10 @@ mod tests {
         )
         .expect("parses");
         assert_eq!(json.get("experiment").and_then(Json::as_str), Some("coldstart"));
+        assert_eq!(json.get("n"), Some(&Json::Int(3)));
         assert_eq!(json.get("n").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(json.get("neg").and_then(Json::as_f64), Some(-2000.0));
+        assert_eq!(json.get("f"), Some(&Json::Num(1.5)));
+        assert_eq!(json.get("neg"), Some(&Json::Num(-2000.0)));
         assert_eq!(json.get("arr").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
         assert_eq!(
             json.get("nested").and_then(|n| n.get("s")).and_then(Json::as_str),
@@ -286,5 +456,60 @@ mod tests {
         let json = parse_json(r#"{"present":1.25}"#).expect("parses");
         assert_eq!(json.num("present"), Ok(1.25));
         assert!(json.num("absent").unwrap_err().contains("absent"));
+    }
+
+    #[test]
+    fn json_renders_all_shapes() {
+        let v = obj([
+            ("x", 7u32.into()),
+            ("name", "a \"quoted\" name".into()),
+            ("share", 0.5.into()),
+            ("bad", f64::NAN.into()),
+            ("flag", true.into()),
+            ("none", Json::Null),
+            ("list", arr([1u32.into(), 2u32.into()])),
+            ("empty", arr([])),
+        ]);
+        let s = v.render_pretty();
+        assert!(s.contains("\"x\": 7"), "{s}");
+        assert!(s.contains("\\\"quoted\\\""), "{s}");
+        assert!(s.contains("\"share\": 0.5"), "{s}");
+        assert!(s.contains("\"bad\": null"), "{s}");
+        assert!(s.contains("\"flag\": true"), "{s}");
+        assert!(s.contains("\"empty\": []"), "{s}");
+    }
+
+    #[test]
+    fn wide_integers_round_trip_exactly() {
+        for (value, text) in [
+            (Json::from(u64::MAX), "18446744073709551615"),
+            (Json::from(i128::MIN), "-170141183460469231731687303715884105728"),
+        ] {
+            assert_eq!(value.render_compact(), text);
+            assert_eq!(parse_json(text), Ok(value), "{text} re-parses without f64 rounding");
+        }
+        // Past i128 the literal still parses, as a float.
+        assert_eq!(parse_json(&format!("1{}", "0".repeat(40))), Ok(Json::Num(1e40)));
+    }
+
+    #[test]
+    fn strings_escape_and_round_trip() {
+        let s = "ctl\u{1f} quote\" back\\ nl\n tab\t cr\r é";
+        let rendered = Json::from(s).render_compact();
+        assert!(rendered.contains("\\u001f") && !rendered.contains('\n'), "{rendered}");
+        assert_eq!(parse_json(&rendered), Ok(Json::from(s)));
+    }
+
+    #[test]
+    fn compact_and_pretty_parse_to_the_same_value() {
+        let v = obj([
+            ("n", 1u8.into()),
+            ("f", (-0.25).into()),
+            ("inf", f64::NEG_INFINITY.into()),
+            ("list", arr([Json::Null, arr([]), obj::<&str>([]), vec![1i64, -2].into()])),
+        ]);
+        let compact = v.render_compact();
+        assert_eq!(compact, r#"{"n":1,"f":-0.25,"inf":null,"list":[null,[],{},[1,-2]]}"#);
+        assert_eq!(parse_json(&compact), parse_json(&v.render_pretty()));
     }
 }

@@ -2267,7 +2267,7 @@ mod tests {
         assert_eq!(v, 2);
         let t = rt.telemetry();
         assert!(t.poison_recoveries >= 1, "recovery is counted: {}", t.poison_recoveries);
-        assert!(t.to_json().contains("\"poison_recoveries\""));
+        assert!(t.to_json().render_compact().contains("\"poison_recoveries\""));
     }
 
     #[test]
@@ -2486,7 +2486,7 @@ mod tests {
         assert!(t.total_panics() >= 1, "the panic is counted");
         assert!(t.total_restarts() >= 1, "the respawn is counted");
         assert!(t.per_shard.iter().map(|s| s.requeued_jobs).sum::<u64>() >= 1);
-        assert!(t.to_json().contains("\"total_restarts\""));
+        assert!(t.to_json().render_compact().contains("\"total_restarts\""));
         // The respawned shard keeps serving.
         assert!(rt.classify_batch(&hs).fully_delivered());
     }

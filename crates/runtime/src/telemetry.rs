@@ -4,12 +4,22 @@
 //! Workers publish into plain atomic counters ([`ShardCounters`],
 //! relaxed stores, touched once per *batch*, never per packet);
 //! [`crate::RuntimeHandle::telemetry`] snapshots them into the
-//! immutable [`RuntimeTelemetry`] block, which renders itself as JSON
-//! ([`RuntimeTelemetry::to_json`]) so operational tooling consumes one
-//! self-contained document instead of scraping counters.
+//! immutable [`RuntimeTelemetry`] block, which describes itself as one
+//! [`minijson::Json`] document ([`RuntimeTelemetry::to_json`]) so
+//! operational tooling consumes one self-contained value instead of
+//! scraping counters.
 
 use classifier_api::CacheStats;
+use minijson::{arr, obj, Json};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+
+/// `(name, value)` JSON pairs for the named fields of `$src`, in order:
+/// the telemetry's keys are its field names.
+macro_rules! fields {
+    ($src:expr; $($field:ident),* $(,)?) => {
+        [$((stringify!($field), Json::from($src.$field))),*]
+    };
+}
 
 /// Latency histogram: power-of-two nanosecond buckets (bucket `i` holds
 /// samples in `[2^i, 2^(i+1))` ns; bucket 0 holds sub-2ns samples).
@@ -435,137 +445,67 @@ impl RuntimeTelemetry {
         self.per_shard.iter().map(|s| s.shed_packets + s.deadline_shed_packets).sum()
     }
 
-    /// Renders the telemetry as a self-contained JSON document (compact,
-    /// stable key order).
+    /// The telemetry as one self-contained JSON document (stable key
+    /// order); render it with [`Json::render_compact`] or embed it in a
+    /// larger document as it is.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(256 + 256 * self.per_shard.len());
-        let _ = write!(
-            out,
-            "{{\"version\":{},\"shards\":{},\"total_packets\":{},\"hit_rate\":{:.6},\
-             \"total_restarts\":{},\"total_panics\":{},\"total_shed_packets\":{},\
-             \"poison_recoveries\":{},\"ticket_timeouts\":{},",
-            self.version,
-            self.shards,
-            self.total_packets(),
-            self.hit_rate(),
-            self.total_restarts(),
-            self.total_panics(),
-            self.total_shed_packets(),
-            self.poison_recoveries,
-            self.ticket_timeouts,
-        );
-        match &self.durability {
-            Some(d) => {
-                let _ = write!(
-                    out,
-                    "\"durability\":{{\"wal_appends\":{},\"wal_append_failures\":{},\
-                     \"checkpoints\":{},\"checkpoint_failures\":{},\"runtime_restores\":{},\
-                     \"restore_fallbacks\":{},\"restore_skipped_checkpoints\":{},\
-                     \"wal_records_replayed\":{},\"run_epoch\":{},\
-                     \"wal_bytes\":{},\"wal_segments\":{},\"snapshots\":{},\
-                     \"snapshot_bytes\":{},\"gc_runs\":{},\"gc_snapshots_removed\":{},\
-                     \"gc_segments_removed\":{},\"tmp_cleaned\":{},\"segments_rotated\":{},\
-                     \"degraded_episodes\":{},\"degraded\":{}}},",
-                    d.wal_appends,
-                    d.wal_append_failures,
-                    d.checkpoints,
-                    d.checkpoint_failures,
-                    d.runtime_restores,
-                    d.restore_fallbacks,
-                    d.restore_skipped_checkpoints,
-                    d.wal_records_replayed,
-                    d.run_epoch,
-                    d.wal_bytes,
-                    d.wal_segments,
-                    d.snapshots,
-                    d.snapshot_bytes,
-                    d.gc_runs,
-                    d.gc_snapshots_removed,
-                    d.gc_segments_removed,
-                    d.tmp_cleaned,
-                    d.segments_rotated,
-                    d.degraded_episodes,
-                    d.degraded,
-                );
-            }
-            None => out.push_str("\"durability\":null,"),
-        }
-        match &self.trace {
-            Some(tr) => {
-                let _ = write!(
-                    out,
-                    "\"trace\":{{\"lanes\":{},\"events_per_lane\":{},\"events_recorded\":{},\
-                     \"events_overwritten\":{},\"flight_flushes\":{},\"sampler_samples\":{},\
-                     \"sampler_capacity\":{}}},",
-                    tr.lanes,
-                    tr.events_per_lane,
-                    tr.events_recorded,
-                    tr.events_overwritten,
-                    tr.flight_flushes,
-                    tr.sampler_samples,
-                    tr.sampler_capacity,
-                );
-            }
-            None => out.push_str("\"trace\":null,"),
-        }
-        out.push_str("\"per_shard\":[");
-        for (i, s) in self.per_shard.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"shard\":{},\"packets\":{},\"batches\":{},\"busy_ns\":{},\
-                 \"busy_packets_per_sec\":{:.1},\"snapshot_refreshes\":{},\"idle_parks\":{},\
-                 \"hot_path_allocs\":{},\"pinned\":{},\
-                 \"faults\":{{\"panics\":{},\"restarts\":{},\"requeued_jobs\":{},\
-                 \"stalls_detected\":{},\"shed_jobs\":{},\"shed_packets\":{},\
-                 \"deadline_shed_packets\":{}}},\
-                 \"cache\":{{\"hits\":{},\"misses\":{},\
-                 \"hit_rate\":{:.6},\"insertions\":{},\"evictions\":{},\"rejections\":{},\
-                 \"window_hits\":{},\"capacity\":{},\"window_capacity\":{}}},\
-                 \"latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{}}}}}",
-                s.shard,
-                s.packets,
-                s.batches,
-                s.busy_ns,
-                s.busy_packets_per_sec,
-                s.snapshot_refreshes,
-                s.idle_parks,
-                s.hot_path_allocs,
-                s.pinned,
-                s.panics,
-                s.restarts,
-                s.requeued_jobs,
-                s.stalls_detected,
-                s.shed_jobs,
-                s.shed_packets,
-                s.deadline_shed_packets,
-                s.cache.hits,
-                s.cache.misses,
-                s.cache.hit_rate(),
-                s.cache.insertions,
-                s.cache.evictions,
-                s.cache.rejections,
-                s.cache.window_hits,
-                s.cache.capacity,
-                s.cache.window_capacity,
-                s.latency_p50_ns,
-                s.latency_p90_ns,
-                s.latency_p99_ns,
-            );
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        let durability = self.durability.map_or(Json::Null, |d| {
+            obj(fields!(d; wal_appends, wal_append_failures, checkpoints, checkpoint_failures,
+                runtime_restores, restore_fallbacks, restore_skipped_checkpoints,
+                wal_records_replayed, run_epoch, wal_bytes, wal_segments, snapshots,
+                snapshot_bytes, gc_runs, gc_snapshots_removed, gc_segments_removed, tmp_cleaned,
+                segments_rotated, degraded_episodes, degraded))
+        });
+        let trace = self.trace.map_or(Json::Null, |t| {
+            obj(fields!(t; lanes, events_per_lane, events_recorded, events_overwritten,
+                flight_flushes, sampler_samples, sampler_capacity))
+        });
+        obj([
+            ("version", self.version.into()),
+            ("shards", self.shards.into()),
+            ("total_packets", self.total_packets().into()),
+            ("hit_rate", self.hit_rate().into()),
+            ("total_restarts", self.total_restarts().into()),
+            ("total_panics", self.total_panics().into()),
+            ("total_shed_packets", self.total_shed_packets().into()),
+            ("poison_recoveries", self.poison_recoveries.into()),
+            ("ticket_timeouts", self.ticket_timeouts.into()),
+            ("durability", durability),
+            ("trace", trace),
+            ("per_shard", arr(self.per_shard.iter().map(ShardTelemetry::to_json))),
+        ])
+    }
+}
+
+impl ShardTelemetry {
+    /// One `per_shard` entry of [`RuntimeTelemetry::to_json`].
+    fn to_json(&self) -> Json {
+        let faults = fields!(self; panics, restarts, requeued_jobs, stalls_detected, shed_jobs,
+            shed_packets, deadline_shed_packets);
+        let c = &self.cache;
+        let cache = fields!(c; hits, misses).into_iter().chain([("hit_rate", c.hit_rate().into())]);
+        let cache = cache.chain(fields!(c; insertions, evictions, rejections, window_hits,
+            capacity, window_capacity));
+        let latency = [
+            ("p50", self.latency_p50_ns.into()),
+            ("p90", self.latency_p90_ns.into()),
+            ("p99", self.latency_p99_ns.into()),
+        ];
+        let head = fields!(self; shard, packets, batches, busy_ns, busy_packets_per_sec,
+            snapshot_refreshes, idle_parks, hot_path_allocs, pinned);
+        obj(head.into_iter().chain([
+            ("faults", obj(faults)),
+            ("cache", obj(cache)),
+            ("latency_ns", obj(latency)),
+        ]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minijson::{parse_json, Json};
+    use minijson::parse_json;
 
     #[test]
     fn histogram_percentiles_bracket_samples() {
@@ -808,7 +748,7 @@ mod tests {
         assert_eq!(t.total_shed_packets(), 7);
 
         // In-memory runtime: durability and trace render as null.
-        let doc = parse_json(&t.to_json()).expect("telemetry JSON parses");
+        let doc = parse_json(&t.to_json().render_compact()).expect("telemetry JSON parses");
         assert_telemetry_schema(&doc);
         assert_eq!(doc.get("version").and_then(Json::as_f64), Some(3.0));
         assert_eq!(doc.get("total_packets").and_then(Json::as_f64), Some(10.0));
@@ -859,7 +799,7 @@ mod tests {
             sampler_samples: 31,
             sampler_capacity: 512,
         });
-        let doc = parse_json(&t.to_json()).expect("durable telemetry JSON parses");
+        let doc = parse_json(&t.to_json().render_compact()).expect("durable telemetry JSON parses");
         assert_telemetry_schema(&doc);
         let d = doc.get("durability").expect("durability block");
         assert_eq!(d.get("wal_appends").and_then(Json::as_f64), Some(12.0));

@@ -277,7 +277,7 @@ fn seeded_faults_under_churn_deliver_oracle_correct_results() {
         t.per_shard.iter().map(|s| s.stalls_detected).sum::<u64>() >= 1,
         "the planned stall (≥40ms) was detected"
     );
-    let json = t.to_json();
+    let json = t.to_json().render_compact();
     for key in [
         "\"total_panics\"",
         "\"total_restarts\"",
@@ -415,7 +415,9 @@ fn stalled_shard_sheds_and_recovers() {
     assert_eq!(t.per_shard[0].shed_jobs, shed as u64);
     assert_eq!(t.per_shard[0].shed_packets, (shed * hs.len()) as u64);
     assert!(t.per_shard[0].stalls_detected >= 1, "the 80ms stall was detected");
-    assert!(t.total_shed_packets() >= 1 && t.to_json().contains("\"shed_packets\""));
+    assert!(
+        t.total_shed_packets() >= 1 && t.to_json().render_compact().contains("\"shed_packets\"")
+    );
 }
 
 /// A delayed snapshot publish slows the control plane only: the

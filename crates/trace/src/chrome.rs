@@ -10,8 +10,8 @@
 
 use crate::ring::{Event, EventKind, SpanOp};
 use crate::series::MetricPoint;
+use minijson::{obj, Json};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Lane display name: worker shards, then the three service lanes.
 fn lane_name(lane: u16, shards: usize) -> String {
@@ -27,44 +27,37 @@ fn lane_name(lane: u16, shards: usize) -> String {
     }
 }
 
-fn push_event(out: &mut String, first: &mut bool, body: &str) {
-    if !*first {
-        out.push(',');
+/// One trace_event record of phase `ph` on thread `tid`; `ts_ns` is
+/// `None` for metadata. Timestamps (`ts`) are microseconds with
+/// nanosecond resolution; instants are thread-scoped (`s:"t"`).
+fn event(ph: &str, tid: u16, ts_ns: Option<u64>, name: &str, args: Json) -> Json {
+    let mut fields = vec![("ph", ph.into()), ("pid", 1u8.into()), ("tid", tid.into())];
+    if let Some(ts_ns) = ts_ns {
+        fields.push(("ts", (ts_ns as f64 / 1e3).into()));
     }
-    *first = false;
-    out.push('\n');
-    out.push_str(body);
+    if ph == "i" {
+        fields.push(("s", "t".into()));
+    }
+    fields.extend([("name", name.into()), ("args", args)]);
+    obj(fields)
 }
 
-/// Microseconds with nanosecond resolution (trace_event's `ts` unit).
-fn ts_us(ts_ns: u64) -> String {
-    format!("{:.3}", ts_ns as f64 / 1e3)
-}
-
-/// Renders `events` (a [`crate::FlightRecorder::snapshot`]) and
+/// Builds `events` (a [`crate::FlightRecorder::snapshot`]) and
 /// `samples` (a [`crate::SeriesRing::snapshot`]) for `shards` worker
-/// lanes as a complete Chrome trace_event JSON document.
+/// lanes into a complete Chrome trace_event JSON document.
 #[must_use]
-pub fn chrome_trace(shards: usize, events: &[Event], samples: &[MetricPoint]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + samples.len() * 128 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-
+pub fn chrome_trace(shards: usize, events: &[Event], samples: &[MetricPoint]) -> Json {
     // Thread-name metadata for every lane that appears.
     let mut lanes: Vec<u16> = events.iter().map(|e| e.lane).collect();
     lanes.sort_unstable();
     lanes.dedup();
-    for &lane in &lanes {
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                lane_name(lane, shards)
-            ),
-        );
-    }
+    let mut out: Vec<Json> = lanes
+        .into_iter()
+        .map(|lane| {
+            let args = obj([("name", lane_name(lane, shards).into())]);
+            event("M", lane, None, "thread_name", args)
+        })
+        .collect();
 
     // Pair spans: id → (begin event, op); ends consume their begin.
     // Unpaired halves (the ring overwrote the partner) fall through to
@@ -89,76 +82,33 @@ pub fn chrome_trace(shards: usize, events: &[Event], samples: &[MetricPoint]) ->
 
     for (begin, end) in paired {
         let name = SpanOp::name_of(begin.b);
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"{name}\",\
-                 \"args\":{{\"span\":{}}}}}",
-                begin.lane,
-                ts_us(begin.ts_ns),
-                begin.a
-            ),
-        );
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"{name}\",\
-                 \"args\":{{\"span\":{},\"version\":{}}}}}",
-                end.lane,
-                ts_us(end.ts_ns.max(begin.ts_ns)),
-                end.a,
-                end.b
-            ),
-        );
+        let args = obj([("span", begin.a.into())]);
+        out.push(event("B", begin.lane, Some(begin.ts_ns), name, args));
+        let args = obj([("span", end.a.into()), ("version", end.b.into())]);
+        out.push(event("E", end.lane, Some(end.ts_ns.max(begin.ts_ns)), name, args));
     }
 
     for e in instant {
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\
-                 \"name\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
-                e.lane,
-                ts_us(e.ts_ns),
-                e.kind.name(),
-                e.a,
-                e.b
-            ),
-        );
+        let args = obj([("a", e.a.into()), ("b", e.b.into())]);
+        out.push(event("i", e.lane, Some(e.ts_ns), e.kind.name(), args));
     }
 
     // Metric samples as counter tracks.
     for p in samples {
-        let mut args = String::new();
-        for (i, (key, value)) in p.values.iter().enumerate() {
-            if i > 0 {
-                args.push(',');
-            }
-            let rendered = if value.is_finite() { *value } else { 0.0 };
-            let _ = write!(args, "\"{key}\":{rendered}");
-        }
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":\"runtime\",\
-                 \"args\":{{{args}}}}}",
-                ts_us(p.ts_ns)
-            ),
-        );
+        let args = p
+            .values
+            .iter()
+            .map(|&(key, value)| (key, Json::from(if value.is_finite() { value } else { 0.0 })));
+        out.push(event("C", 0, Some(p.ts_ns), "runtime", obj(args)));
     }
 
-    out.push_str("\n]}\n");
-    out
+    obj([("displayTimeUnit", "ms".into()), ("traceEvents", Json::Arr(out))])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minijson::{parse_json, Json};
+    use minijson::parse_json;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -179,7 +129,7 @@ mod tests {
 
     #[test]
     fn output_is_valid_json_with_balanced_spans() {
-        let text = chrome_trace(2, &sample_events(), &samples());
+        let text = chrome_trace(2, &sample_events(), &samples()).render_compact();
         let doc = parse_json(&text).expect("chrome trace parses as JSON");
         let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
         let mut begins = 0i64;
@@ -207,7 +157,7 @@ mod tests {
 
     #[test]
     fn lanes_are_named_threads() {
-        let text = chrome_trace(2, &sample_events(), &[]);
+        let text = chrome_trace(2, &sample_events(), &[]).render_compact();
         let doc = parse_json(&text).expect("parses");
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let names: Vec<&str> = events
@@ -220,7 +170,10 @@ mod tests {
 
     #[test]
     fn timestamps_render_in_microseconds() {
-        assert_eq!(ts_us(1_500), "1.500");
-        assert_eq!(ts_us(0), "0.000");
+        let event = Event { ts_ns: 1_500, lane: 0, kind: EventKind::Publish, a: 1, b: 2 };
+        let doc = parse_json(&chrome_trace(1, &[event], &[]).render_compact()).expect("parses");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+        let instant = events.iter().find(|e| e.get("ph").and_then(Json::as_str) == Some("i"));
+        assert_eq!(instant.and_then(|e| e.get("ts")).and_then(Json::as_f64), Some(1.5));
     }
 }

@@ -28,8 +28,9 @@
 //! through a checksummed binary image ([`encode_flight_log`] /
 //! [`decode_flight_log`]) that the runtime persists as a bounded
 //! `flight.log` region via its store; for humans, [`chrome_trace`]
-//! renders events + samples as a Chrome `trace_event` JSON document
-//! loadable in `chrome://tracing` or Perfetto.
+//! builds events + samples into a Chrome `trace_event` JSON document
+//! (a `minijson::Json` value) loadable in `chrome://tracing` or
+//! Perfetto.
 
 #![forbid(unsafe_code)]
 

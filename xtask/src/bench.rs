@@ -30,10 +30,9 @@
 //!    experiment, the newer one may not regress >10% against the older
 //!    (catches committing a bad re-measurement).
 //!
-//! Everything here is dependency-free: the JSON reader is the
-//! workspace's own `minijson` — a minimal recursive-descent parser over
-//! the subset our tooling emits (strict — unknown syntax is an error,
-//! not a guess) — shared with the telemetry/trace schema tests.
+//! Everything here is dependency-free: baselines are read with the
+//! workspace's own `minijson`, the same module whose writer produced
+//! them (strict — unknown syntax is an error, not a guess).
 
 use minijson::{parse_json, Json};
 use std::path::Path;
@@ -348,6 +347,7 @@ fn render_generic(md: &mut String, b: &Baseline, experiment: &str) {
     if let Json::Obj(fields) = &b.json {
         for (key, value) in fields {
             match value {
+                Json::Int(i) => md.push_str(&format!("- `{key}`: {i}\n")),
                 Json::Num(n) => md.push_str(&format!("- `{key}`: {}\n", fmt_num(*n))),
                 Json::Bool(v) => md.push_str(&format!("- `{key}`: {v}\n")),
                 Json::Str(s) if s.len() <= 60 => md.push_str(&format!("- `{key}`: {s}\n")),
@@ -365,6 +365,7 @@ fn render_generic(md: &mut String, b: &Baseline, experiment: &str) {
                 let cells: Vec<String> = keys
                     .iter()
                     .map(|k| match p.get(k) {
+                        Some(Json::Int(i)) => i.to_string(),
                         Some(Json::Num(n)) => fmt_num(*n),
                         Some(Json::Bool(v)) => v.to_string(),
                         Some(Json::Str(s)) => s.clone(),
@@ -745,6 +746,35 @@ mod tests {
         let (label, value) = primary_metric(&b).expect("metric");
         assert!(label.contains("ring+sampler/off"));
         assert!((value - 0.91).abs() < 1e-9);
+    }
+
+    #[test]
+    fn committed_baselines_round_trip_byte_identically() {
+        let root = crate::repo_root();
+        let baselines = load_baselines(&root).expect("committed baselines load");
+        for b in &baselines {
+            let text = std::fs::read_to_string(root.join(&b.file_name)).expect("readable");
+            assert!(
+                b.json.render_pretty() == text,
+                "{} does not re-render byte-identically through minijson",
+                b.file_name
+            );
+        }
+    }
+
+    #[test]
+    fn generic_renderer_prints_integer_fields() {
+        let json = parse_json(
+            r#"{"experiment":"future","wal_bytes":18446744073709551615,"ratio":0.5,
+                "points":[{"rules":1024,"speedup":1.25}]}"#,
+        )
+        .expect("parses");
+        let b = Baseline { number: 99, file_name: "BENCH_99.json".into(), json };
+        let mut md = String::new();
+        render_generic(&mut md, &b, "future");
+        assert!(md.contains("- `wal_bytes`: 18446744073709551615\n"), "{md}");
+        assert!(md.contains("- `ratio`: 0.500\n"), "{md}");
+        assert!(md.contains("| 1024 | 1.250 |"), "{md}");
     }
 
     #[test]
